@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
   util::CliParser cli(
       "Ablation: load-balancing trigger period (OkToTryLB) on fast and "
       "slow networks");
-  bench::describe_common(cli);
+  constexpr std::size_t kRepeats = 1;
+  bench::describe_common(cli, kRepeats);
   try {
     cli.parse(argc, argv);
   } catch (const std::exception& e) {
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
   }
 
   auto spec = bench::problem_from_cli(cli);
-    const auto repeats = static_cast<std::size_t>(cli.get_int("repeats", 1));
+  const auto repeats = bench::repeats_from_cli(cli, kRepeats);
   const auto system = bench::make_problem(spec);
 
   auto factory_for = [&](grid::LinkParams wan) {
@@ -57,9 +58,10 @@ int main(int argc, char** argv) {
       "Execution time (s) vs load-balancing trigger period (no LB "
       "baseline: fast " +
       util::Table::num(base_fast.mean()) + ", slow " +
-      util::Table::num(base_slow.mean()) + ")");
+      util::Table::num(base_slow.mean()) + ", failed " +
+      bench::failed_cell(base_fast, base_slow) + ")");
   table.set_header({"trigger period", "fast WAN", "speedup", "slow WAN",
-                    "speedup"});
+                    "speedup", "failed"});
 
   for (const std::size_t period : {1u, 2u, 5u, 20u}) {
     auto config = bench::engine_config(spec, core::Scheme::kAIAC, true);
@@ -71,7 +73,8 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(period), util::Table::num(fast.mean()),
                    util::Table::num(base_fast.mean() / fast.mean(), 2),
                    util::Table::num(slow.mean()),
-                   util::Table::num(base_slow.mean() / slow.mean(), 2)});
+                   util::Table::num(base_slow.mean() / slow.mean(), 2),
+                   bench::failed_cell(fast, slow)});
     std::cout << "period=" << period << " done\n";
   }
   bench::emit(table, cli);

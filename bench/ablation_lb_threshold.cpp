@@ -33,7 +33,8 @@ void sweep_accuracy(const ode::OdeSystem& system,
       table.add_row({label, util::Table::num(threshold, 1),
                      fraction < 0.5 ? "coarse" : "accurate",
                      util::Table::num(lb.mean()),
-                     util::Table::num(baseline.mean() / lb.mean(), 2)});
+                     util::Table::num(baseline.mean() / lb.mean(), 2),
+                     bench::failed_cell(baseline, lb)});
     }
     std::cout << label << " threshold=" << threshold << " done\n";
   }
@@ -45,7 +46,8 @@ int main(int argc, char** argv) {
   util::CliParser cli(
       "Ablation: balancing accuracy (threshold ratio, migration fraction) "
       "vs network load, plus the load-estimator comparison of paper §5.2");
-  bench::describe_common(cli);
+  constexpr std::size_t kRepeats = 1;
+  bench::describe_common(cli, kRepeats);
   try {
     cli.parse(argc, argv);
   } catch (const std::exception& e) {
@@ -58,7 +60,7 @@ int main(int argc, char** argv) {
   }
 
   auto spec = bench::problem_from_cli(cli);
-    const auto repeats = static_cast<std::size_t>(cli.get_int("repeats", 1));
+  const auto repeats = bench::repeats_from_cli(cli, kRepeats);
   const auto system = bench::make_problem(spec);
 
   auto factory_for = [&](grid::LinkParams wan) {
@@ -77,7 +79,7 @@ int main(int argc, char** argv) {
   util::Table accuracy("Balancing accuracy vs network load (speedup over "
                        "unbalanced AIAC)");
   accuracy.set_header(
-      {"network", "threshold", "migration", "time (s)", "speedup"});
+      {"network", "threshold", "migration", "time (s)", "speedup", "failed"});
   sweep_accuracy(system, spec, factory_for(grid::campus_wan()), repeats,
                  "light", accuracy);
   sweep_accuracy(system, spec, factory_for(grid::loaded_wan()), repeats,
@@ -87,7 +89,7 @@ int main(int argc, char** argv) {
   // Estimator comparison (paper §5.2 argues the residual beats the
   // "time of the k last iterations" criterion).
   util::Table estimators("Load estimator comparison (heterogeneous grid)");
-  estimators.set_header({"estimator", "time (s)", "speedup"});
+  estimators.set_header({"estimator", "time (s)", "speedup", "failed"});
   auto factory = factory_for(grid::campus_wan());
   const auto baseline = bench::run_series(
       system, bench::engine_config(spec, core::Scheme::kAIAC, false),
@@ -101,7 +103,8 @@ int main(int argc, char** argv) {
     const auto lb_stats = bench::run_series(system, config, factory, repeats);
     estimators.add_row({lb::to_string(kind),
                         util::Table::num(lb_stats.mean()),
-                        util::Table::num(baseline.mean() / lb_stats.mean(), 2)});
+                        util::Table::num(baseline.mean() / lb_stats.mean(), 2),
+                        bench::failed_cell(baseline, lb_stats)});
     std::cout << "estimator " << lb::to_string(kind) << " done\n";
   }
   std::cout << '\n';

@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
   util::CliParser cli(
       "Ablation: balancing gain vs memory tightness on the heterogeneous "
       "grid (capacity scales with machine speed)");
-  bench::describe_common(cli);
+  constexpr std::size_t kRepeats = 1;
+  bench::describe_common(cli, kRepeats);
   try {
     cli.parse(argc, argv);
   } catch (const std::exception& e) {
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
   }
 
   auto spec = bench::problem_from_cli(cli);
-  const auto repeats = static_cast<std::size_t>(cli.get_int("repeats", 1));
+  const auto repeats = bench::repeats_from_cli(cli, kRepeats);
   const auto system = bench::make_problem(spec);
   const double even_share = static_cast<double>(system.dimension()) / 8.0;
 
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
       "Balancing gain vs memory tightness (8-machine grid; capacity = "
       "tightness x even share on the slowest node, scaling with speed)");
   table.set_header({"slow-node capacity / even share", "without LB (s)",
-                    "with LB (s)", "ratio"});
+                    "with LB (s)", "ratio", "failed"});
 
   // infinity = memory model off; then increasingly tight.
   const double tightness_values[] = {0.0, 1.0, 0.7};
@@ -64,7 +65,8 @@ int main(int argc, char** argv) {
     table.add_row({tightness == 0.0 ? "off" : util::Table::num(tightness, 1),
                    util::Table::num(no_lb.mean()),
                    util::Table::num(with_lb.mean()),
-                   util::Table::num(no_lb.mean() / with_lb.mean(), 2)});
+                   util::Table::num(no_lb.mean() / with_lb.mean(), 2),
+                   bench::failed_cell(no_lb, with_lb)});
     std::cout << "tightness=" << tightness << " done\n";
   }
   bench::emit(table, cli);

@@ -22,7 +22,8 @@ int main(int argc, char** argv) {
   util::CliParser cli(
       "Ablation: scalar (paper Algorithm 1) vs banded block local solves, "
       "with and without load balancing");
-  bench::describe_common(cli);
+  constexpr std::size_t kRepeats = 1;
+  bench::describe_common(cli, kRepeats);
   try {
     cli.parse(argc, argv);
   } catch (const std::exception& e) {
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
   }
 
   auto spec = bench::problem_from_cli(cli);
-  const auto repeats = static_cast<std::size_t>(cli.get_int("repeats", 1));
+  const auto repeats = bench::repeats_from_cli(cli, kRepeats);
   const auto system = bench::make_problem(spec);
 
   util::Table table(

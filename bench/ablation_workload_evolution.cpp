@@ -41,7 +41,8 @@ void run_case(const ode::OdeSystem& system, const char* label,
   const auto with_lb = bench::run_series(system, lb_cfg, factory, repeats);
   table.add_row({label, util::Table::num(no_lb.mean()),
                  util::Table::num(with_lb.mean()),
-                 util::Table::num(no_lb.mean() / with_lb.mean(), 2)});
+                 util::Table::num(no_lb.mean() / with_lb.mean(), 2),
+                 bench::failed_cell(no_lb, with_lb)});
   std::cout << label << " done\n";
 }
 
@@ -51,7 +52,8 @@ int main(int argc, char** argv) {
   util::CliParser cli(
       "Ablation: balancing gain from workload evolution alone (dedicated "
       "homogeneous cluster, AIAC)");
-  bench::describe_common(cli);
+  constexpr std::size_t kRepeats = 1;
+  bench::describe_common(cli, kRepeats);
   try {
     cli.parse(argc, argv);
   } catch (const std::exception& e) {
@@ -62,11 +64,12 @@ int main(int argc, char** argv) {
     std::cout << cli.help_text();
     return 0;
   }
-  const auto repeats = static_cast<std::size_t>(cli.get_int("repeats", 1));
+  const auto repeats = bench::repeats_from_cli(cli, kRepeats);
 
   util::Table table(
       "Workload-evolution gains on a dedicated homogeneous cluster");
-  table.set_header({"problem", "without LB (s)", "with LB (s)", "ratio"});
+  table.set_header(
+      {"problem", "without LB (s)", "with LB (s)", "ratio", "failed"});
 
   {
     ode::Brusselator::Params p;

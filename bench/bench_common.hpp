@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 
 #include "core/config.hpp"
@@ -81,25 +82,51 @@ inline core::EngineConfig engine_config(const ProblemSpec& spec,
   return config;
 }
 
+/// Execution times of one configuration's series of runs. A run that did
+/// not converge or that stopped with a failure_reason is counted as failed
+/// and kept out of the mean, so a table row can say how many runs its
+/// figure rests on.
+struct SeriesStats {
+  util::OnlineStats times;  // execution times of the successful runs
+  std::size_t runs = 0;
+  std::size_t failed = 0;
+
+  double mean() const noexcept { return times.mean(); }
+};
+
+/// "k/n" for a table's failed column: failed runs over all runs of the
+/// series the row reports.
+template <typename... Series>
+std::string failed_cell(const Series&... series) {
+  const std::size_t failed = (series.failed + ... + std::size_t{0});
+  const std::size_t runs = (series.runs + ... + std::size_t{0});
+  return std::to_string(failed) + "/" + std::to_string(runs);
+}
+
 /// Runs one configuration `repeats` times with different seeds ("our
 /// results correspond to the average of a series of executions") and
 /// returns execution-time statistics.
 template <typename GridFactory>
-util::OnlineStats run_series(const ode::OdeSystem& system,
-                             const core::EngineConfig& config,
-                             GridFactory&& make_grid, std::size_t repeats,
-                             std::uint64_t seed0 = 1000) {
-  util::OnlineStats stats;
+SeriesStats run_series(const ode::OdeSystem& system,
+                       const core::EngineConfig& config,
+                       GridFactory&& make_grid, std::size_t repeats,
+                       std::uint64_t seed0 = 1000) {
+  SeriesStats stats;
   for (std::size_t r = 0; r < repeats; ++r) {
     auto grid = make_grid(seed0 + 17 * r);
     const auto result = core::run_simulated(system, *grid, config);
-    if (!result.converged) {
-      std::cerr << "warning: run did not converge (scheme "
+    ++stats.runs;
+    if (!result.converged || !result.failure_reason.empty()) {
+      ++stats.failed;
+      std::cerr << "warning: run failed (scheme "
                 << core::to_string(config.scheme) << ", seed "
-                << seed0 + 17 * r << ")\n";
+                << seed0 + 17 * r << "): "
+                << (result.failure_reason.empty() ? "did not converge"
+                                                  : result.failure_reason)
+                << "\n";
       continue;
     }
-    stats.add(result.execution_time);
+    stats.times.add(result.execution_time);
   }
   return stats;
 }
@@ -115,8 +142,8 @@ inline void emit(const util::Table& table, const util::CliParser& cli) {
   }
 }
 
-inline ProblemSpec problem_from_cli(const util::CliParser& cli) {
-  ProblemSpec spec;
+inline ProblemSpec problem_from_cli(const util::CliParser& cli,
+                                    ProblemSpec spec = {}) {
   spec.grid_points = static_cast<std::size_t>(
       cli.get_int("grid-points", static_cast<std::int64_t>(spec.grid_points)));
   spec.num_steps = static_cast<std::size_t>(
@@ -125,12 +152,33 @@ inline ProblemSpec problem_from_cli(const util::CliParser& cli) {
   return spec;
 }
 
-inline void describe_common(util::CliParser& cli) {
-  cli.describe("grid-points", "Brusselator interior grid points N", "96");
-  cli.describe("steps", "time steps over [0, 10]", "50");
-  cli.describe("tolerance", "outer residual tolerance", "1e-6");
-  cli.describe("repeats", "runs averaged per configuration", "3");
+/// Declares the options problem_from_cli and repeats_from_cli read. The
+/// printed defaults are the values those functions fall back to — `spec`
+/// (the bench's problem defaults, ProblemSpec{} unless it overrides some)
+/// and `default_repeats` (0 when the bench has no --repeats) — so the help
+/// text cannot drift from them.
+inline void describe_common(util::CliParser& cli,
+                            std::size_t default_repeats = 0,
+                            const ProblemSpec& spec = {}) {
+  std::ostringstream tolerance;
+  tolerance << spec.tolerance;
+  std::ostringstream t_end;
+  t_end << spec.t_end;
+  cli.describe("grid-points", "Brusselator interior grid points N",
+               std::to_string(spec.grid_points));
+  cli.describe("steps", "time steps over [0, " + t_end.str() + "]",
+               std::to_string(spec.num_steps));
+  cli.describe("tolerance", "outer residual tolerance", tolerance.str());
+  if (default_repeats > 0)
+    cli.describe("repeats", "runs averaged per configuration",
+                 std::to_string(default_repeats));
   cli.describe("csv", "also write results to this CSV file", "");
+}
+
+inline std::size_t repeats_from_cli(const util::CliParser& cli,
+                                    std::size_t default_repeats) {
+  return static_cast<std::size_t>(
+      cli.get_int("repeats", static_cast<std::int64_t>(default_repeats)));
 }
 
 }  // namespace aiac::bench

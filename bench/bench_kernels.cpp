@@ -187,6 +187,9 @@ void write_json(const std::string& path, bool quick,
   std::ofstream out(path);
   out << "{\n  \"schema\": \"aiac-bench-kernels-v1\",\n";
   out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
+  // Cores of the host that produced the numbers (nproc).
+  out << "  \"cores\": "
+      << std::max(1u, std::thread::hardware_concurrency()) << ",\n";
   out << "  \"benches\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
@@ -529,6 +532,41 @@ int main(int argc, char** argv) {
         static_cast<double>(da) / static_cast<double>(iters);
     results.push_back(r);
     if (sink < 0.0) std::cerr << "";  // keep `sink` observable
+  }
+
+  // -- Scalar-Jacobi sweep: paper Algorithm 1's `Solve`, the kernel of
+  //    the fig5 benches. Scalar mode has no skip path, so every iterate
+  //    re-solves all row-steps of the processor's share; timing starts
+  //    after three iterates (buffers sized, past the cold start) and runs
+  //    a fixed sequence of iterates, so the Newton work behind the number
+  //    is the same on every run. Reported per row-step.
+  {
+    ode::WaveformBlockConfig config;
+    config.first = prob.first;
+    config.count = prob.nb;
+    config.num_steps = prob.num_steps;
+    config.t_end = prob.t_end;
+    config.mode = ode::LocalSolveMode::kScalarJacobi;
+    ode::WaveformBlock block(prob.system, config);
+    for (int warm = 0; warm < 3; ++warm) block.iterate();
+    const std::size_t iters = quick ? 20 : 200;
+    std::uint64_t newton = 0;
+    const std::uint64_t a0 = allocs();
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < iters; ++i)
+      newton += block.iterate().newton_iterations;
+    const double secs =
+        std::chrono::duration<double>(Clock::now() - t0).count();
+    const std::uint64_t da = allocs() - a0;
+    const double row_steps = static_cast<double>(iters) *
+                             static_cast<double>(prob.nb) *
+                             static_cast<double>(prob.num_steps);
+    BenchResult r;
+    r.name = "scalar_jacobi_full_sweep";
+    r.ns_per_step = secs * 1e9 / row_steps;
+    r.newton_iterations_per_step = static_cast<double>(newton) / row_steps;
+    r.allocs_per_step = static_cast<double>(da) / row_steps;
+    results.push_back(r);
   }
 
   // -- Sharded sweep: the intra-processor parallel iterate. A forced

@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   util::CliParser cli(
       "Figure 5: AIAC execution time vs processors on a homogeneous "
       "cluster, with and without dynamic load balancing");
-  bench::describe_common(cli);
+  constexpr std::size_t kRepeats = 2;
+  bench::describe_common(cli, kRepeats);
   cli.describe("max-procs", "largest processor count (powers of two up to)",
                "16");
   cli.describe("loaded-fraction",
@@ -39,8 +40,7 @@ int main(int argc, char** argv) {
   }
 
   const auto spec = bench::problem_from_cli(cli);
-  const auto repeats =
-      static_cast<std::size_t>(cli.get_int("repeats", 2));
+  const auto repeats = bench::repeats_from_cli(cli, kRepeats);
   const auto max_procs =
       static_cast<std::size_t>(cli.get_int("max-procs", 16));
   const double loaded_fraction = cli.get_double("loaded-fraction", 0.15);
@@ -49,7 +49,8 @@ int main(int argc, char** argv) {
   const auto system = bench::make_problem(spec);
 
   util::Table table("Figure 5: execution times (s) on a homogeneous cluster");
-  table.set_header({"processors", "intra", "without LB", "with LB", "ratio"});
+  table.set_header({"processors", "intra", "without LB", "with LB", "ratio",
+                    "failed"});
 
   util::OnlineStats ratio_stats;
   for (std::size_t procs = 2; procs <= max_procs; procs *= 2) {
@@ -74,7 +75,8 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(procs), std::to_string(intra_threads),
                    util::Table::num(no_lb.mean()),
                    util::Table::num(with_lb.mean()),
-                   util::Table::num(ratio, 2)});
+                   util::Table::num(ratio, 2),
+                   bench::failed_cell(no_lb, with_lb)});
     std::cout << "procs=" << procs << " done\n";
   }
   bench::emit(table, cli);

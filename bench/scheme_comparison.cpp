@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   util::CliParser cli(
       "Scheme comparison: SISC/SIAC/AIAC x {no LB, LB} x {local cluster, "
       "heterogeneous grid}");
-  bench::describe_common(cli);
+  constexpr std::size_t kRepeats = 1;
+  bench::describe_common(cli, kRepeats);
   try {
     cli.parse(argc, argv);
   } catch (const std::exception& e) {
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
   }
 
   auto spec = bench::problem_from_cli(cli);
-    const auto repeats = static_cast<std::size_t>(cli.get_int("repeats", 1));
+  const auto repeats = bench::repeats_from_cli(cli, kRepeats);
   const auto system = bench::make_problem(spec);
 
   auto local_factory = [&](std::uint64_t seed) {
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
   util::Table table(
       "Execution times (s): schemes x load balancing x context");
   table.set_header(
-      {"scheme", "LB", "local cluster", "heterogeneous grid"});
+      {"scheme", "LB", "local cluster", "heterogeneous grid", "failed"});
   double best_local = 0.0, best_grid = 0.0;
   std::string best_local_name, best_grid_name;
   for (const auto scheme :
@@ -68,7 +69,8 @@ int main(int argc, char** argv) {
           bench::run_series(system, config, grid_factory, repeats, 2000);
       table.add_row({core::to_string(scheme), lb ? "yes" : "no",
                      util::Table::num(local.mean()),
-                     util::Table::num(grid_time.mean())});
+                     util::Table::num(grid_time.mean()),
+                     bench::failed_cell(local, grid_time)});
       const std::string name =
           core::to_string(scheme) + (lb ? "+LB" : "");
       if (best_local == 0.0 || local.mean() < best_local) {

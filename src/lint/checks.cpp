@@ -196,6 +196,7 @@ std::vector<std::string> default_hot_registry() {
       "ProcessorCore::emit_boundaries",
       // Allocation-free Newton workspace solves (PR 4).
       "scalar_implicit_euler_solve",
+      "scalar_implicit_euler_solve_batch",
       "block_implicit_euler_step",
       // Sharded iterate + intra-processor worker pool (PR 7). The pool
       // entries are listed explicitly because `run` is on the generic

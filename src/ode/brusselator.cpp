@@ -228,6 +228,45 @@ void Brusselator::jacobian_band_range(std::size_t first, std::size_t count,
   }
 }
 
+void Brusselator::rhs_and_diagonal_batch(
+    std::span<const std::size_t> components, double /*t*/,
+    std::span<const double> windows, std::span<double> f,
+    std::span<double> dfdy) const {
+  const std::size_t count = components.size();
+  if (windows.size() != count * 5 || f.size() != count ||
+      dfdy.size() != count)
+    throw std::invalid_argument(
+        "Brusselator::rhs_and_diagonal_batch: size mismatch");
+  const std::size_t n = dimension();
+  const std::size_t n_grid = params_.grid_points;
+  const double c = diffusion_;
+  // One fused loop instead of two virtual calls per row. The expressions
+  // mirror rhs_component and the d == 0 case of rhs_partial token for
+  // token, so the results are bitwise those of the default.
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t j = components[k];
+    if (j >= n)
+      throw std::out_of_range("Brusselator::rhs_and_diagonal_batch");
+    const double* w = windows.data() + k * 5;
+    const std::size_t i = j / 2;
+    if ((j % 2) == 0) {
+      const double u = w[2];
+      const double v = w[3];
+      const double u_left = i == 0 ? params_.u_boundary : w[0];
+      const double u_right = i + 1 == n_grid ? params_.u_boundary : w[4];
+      f[k] = 1.0 + u * u * v - 4.0 * u + c * (u_left - 2.0 * u + u_right);
+      dfdy[k] = 2.0 * u * v - 4.0 - 2.0 * c;
+    } else {
+      const double v = w[2];
+      const double u = w[1];
+      const double v_left = i == 0 ? params_.v_boundary : w[0];
+      const double v_right = i + 1 == n_grid ? params_.v_boundary : w[4];
+      f[k] = 3.0 * u - u * u * v + c * (v_left - 2.0 * v + v_right);
+      dfdy[k] = -u * u - 2.0 * c;
+    }
+  }
+}
+
 void Brusselator::initial_state(std::span<double> y) const {
   if (y.size() != dimension())
     throw std::invalid_argument("Brusselator::initial_state: size mismatch");

@@ -126,6 +126,32 @@ void FisherKpp::jacobian_band_range(std::size_t first, std::size_t count,
   }
 }
 
+void FisherKpp::rhs_and_diagonal_batch(std::span<const std::size_t> components,
+                                       double /*t*/,
+                                       std::span<const double> windows,
+                                       std::span<double> f,
+                                       std::span<double> dfdy) const {
+  const std::size_t count = components.size();
+  if (windows.size() != count * 3 || f.size() != count ||
+      dfdy.size() != count)
+    throw std::invalid_argument(
+        "FisherKpp::rhs_and_diagonal_batch: size mismatch");
+  const double d = diffusion_;
+  const double g = params_.growth;
+  const std::size_t dim = dimension();
+  // Expressions mirror rhs_component and rhs_partial(j, j) token for token.
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t j = components[k];
+    if (j >= dim) throw std::out_of_range("FisherKpp::rhs_and_diagonal_batch");
+    const double* w = windows.data() + k * 3;
+    const double u = w[1];
+    const double u_left = j == 0 ? 1.0 : w[0];  // burnt boundary
+    const double u_right = j + 1 == dim ? 0.0 : w[2];
+    f[k] = d * (u_left - 2.0 * u + u_right) + g * u * (1.0 - u);
+    dfdy[k] = -2.0 * d + g * (1.0 - 2.0 * w[1]);
+  }
+}
+
 void FisherKpp::initial_state(std::span<double> y) const {
   if (y.size() != dimension())
     throw std::invalid_argument("FisherKpp::initial_state: size mismatch");

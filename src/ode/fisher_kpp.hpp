@@ -58,6 +58,12 @@ class FisherKpp final : public OdeSystem {
   void jacobian_band_range(std::size_t first, std::size_t count, double t,
                            std::span<const double> y_ext,
                            std::span<double> band_rows) const override;
+  /// Fused scalar-Newton evaluation (the scalar-Jacobi hot path), bitwise
+  /// identical to the rhs_component/rhs_partial default.
+  void rhs_and_diagonal_batch(std::span<const std::size_t> components,
+                              double t, std::span<const double> windows,
+                              std::span<double> f,
+                              std::span<double> dfdy) const override;
   void initial_state(std::span<double> y) const override;
 
   /// Front position (x in [0,1]) of a state vector: the first grid point

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "linalg/banded_matrix.hpp"
 
@@ -11,48 +10,104 @@ namespace aiac::ode {
 
 namespace {
 
-/// Scalar Newton core operating on a caller-owned mutable window copy.
-ScalarSolveResult scalar_solve_core(const OdeSystem& system, std::size_t j,
-                                    double y_prev, std::span<double> w,
-                                    double t_next, double dt,
-                                    const NewtonOptions& opts) {
-  const std::size_t s = system.stencil_halfwidth();
-  ScalarSolveResult result;
-  result.value = w[s];  // initial guess: frozen iterate's value at t_next
-  for (std::size_t it = 0; it <= opts.max_iterations; ++it) {
-    w[s] = result.value;
-    const double f = system.rhs_component(j, t_next, w);
-    const double g = result.value - y_prev - dt * f;
-    double gp = 1.0 - dt * system.rhs_partial(j, j, t_next, w);
-    if (std::abs(gp) < opts.min_derivative)
-      gp = gp < 0 ? -opts.min_derivative : opts.min_derivative;
-    const double delta = g / gp;
-    if (std::abs(delta) <= opts.tolerance) {
-      // Converged (possibly on the initial check, at zero iterations —
-      // see NewtonOptions::check_cost); apply the final tiny correction.
-      result.value -= delta;
-      result.converged = true;
-      break;
-    }
-    if (it == opts.max_iterations) break;  // budget exhausted
-    result.value -= delta;
-    ++result.iterations;
+/// One scalar Newton pass of one row at iteration `it`. `value` is the
+/// row's iterate, the centre of the window `f` and `dfdy` were evaluated
+/// on. Returns true when the row leaves the batch with `out` written:
+/// converged (possibly on the initial check, at zero iterations — see
+/// NewtonOptions::check_cost), with the final tiny correction applied, or
+/// out of budget, with the value left as it was. Otherwise applies the
+/// update to `value` and returns false.
+bool scalar_newton_pass(double& value, double y_prev, double f, double dfdy,
+                        double dt, std::size_t it, const NewtonOptions& opts,
+                        ScalarSolveResult& out) {
+  const double g = value - y_prev - dt * f;
+  double gp = 1.0 - dt * dfdy;
+  if (std::abs(gp) < opts.min_derivative)
+    gp = gp < 0 ? -opts.min_derivative : opts.min_derivative;
+  const double delta = g / gp;
+  if (std::abs(delta) <= opts.tolerance) {
+    out = {value - delta, it, true};
+    return true;
   }
-  return result;
+  if (it == opts.max_iterations) {
+    out = {value, it, false};
+    return true;
+  }
+  value -= delta;
+  return false;
 }
 
 }  // namespace
 
-ScalarSolveResult scalar_implicit_euler_solve(const OdeSystem& system,
-                                              std::size_t j, double y_prev,
-                                              std::span<const double> window,
-                                              double t_next, double dt,
-                                              const NewtonOptions& opts) {
+void scalar_implicit_euler_solve_batch(
+    const OdeSystem& system, std::span<const std::size_t> components,
+    std::span<const double> y_prev, std::span<const double> windows,
+    double t_next, double dt, const NewtonOptions& opts,
+    NewtonWorkspace& ws, std::span<ScalarSolveResult> results) {
+  const std::size_t n = components.size();
   const std::size_t s = system.stencil_halfwidth();
-  if (window.size() != 2 * s + 1)
-    throw std::invalid_argument("scalar solve: wrong window size");
-  std::vector<double> w(window.begin(), window.end());
-  return scalar_solve_core(system, j, y_prev, w, t_next, dt, opts);
+  const std::size_t width = 2 * s + 1;
+  if (y_prev.size() != n || results.size() != n ||
+      windows.size() != n * width)
+    throw std::invalid_argument("scalar batch solve: size mismatch");
+  if (n == 0) return;
+  // Scalar-batch buffer roles: `window` packs the windows of the rows
+  // still iterating, `rhs` and `diag` their f and df/dy. Grow-only, so a
+  // warm workspace never allocates.
+  if (ws.rhs.size() < n) ws.rhs.resize(n);
+  if (ws.diag.size() < n) ws.diag.resize(n);
+  if (ws.window.size() < n * width) ws.window.resize(n * width);
+  if (ws.batch_y_prev.size() < n) ws.batch_y_prev.resize(n);
+  if (ws.batch_rows.size() < n) ws.batch_rows.resize(n);
+  if (ws.batch_components.size() < n) ws.batch_components.resize(n);
+  const std::span<double> f(ws.rhs);
+  const std::span<double> dfdy(ws.diag);
+  const std::span<double> win(ws.window);
+
+  // Pass 0 evaluates the caller's windows in place (their centres are the
+  // initial guesses). Most rows of a nearly converged sweep leave here;
+  // the rest are packed into the workspace for the later passes.
+  system.rhs_and_diagonal_batch(components, t_next, windows, f.first(n),
+                                dfdy.first(n));
+  std::size_t active = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double value = windows[i * width + s];
+    if (scalar_newton_pass(value, y_prev[i], f[i], dfdy[i], dt, 0, opts,
+                           results[i]))
+      continue;
+    ws.batch_rows[active] = i;
+    ws.batch_components[active] = components[i];
+    ws.batch_y_prev[active] = y_prev[i];
+    for (std::size_t slot = 0; slot < width; ++slot)
+      win[active * width + slot] = windows[i * width + slot];
+    win[active * width + s] = value;
+    ++active;
+  }
+  // Passes 1..max_iterations over the shrinking active set; converged
+  // rows are compacted out in order. Every row leaves by the last pass.
+  for (std::size_t it = 1; active > 0; ++it) {
+    system.rhs_and_diagonal_batch(
+        std::span<const std::size_t>(ws.batch_components).first(active),
+        t_next, win.first(active * width), f.first(active),
+        dfdy.first(active));
+    std::size_t kept = 0;
+    for (std::size_t a = 0; a < active; ++a) {
+      double value = win[a * width + s];
+      if (scalar_newton_pass(value, ws.batch_y_prev[a], f[a], dfdy[a], dt, it,
+                             opts, results[ws.batch_rows[a]]))
+        continue;
+      if (kept != a) {
+        ws.batch_rows[kept] = ws.batch_rows[a];
+        ws.batch_components[kept] = ws.batch_components[a];
+        ws.batch_y_prev[kept] = ws.batch_y_prev[a];
+        for (std::size_t slot = 0; slot < width; ++slot)
+          win[kept * width + slot] = win[a * width + slot];
+      }
+      win[kept * width + s] = value;
+      ++kept;
+    }
+    active = kept;
+  }
 }
 
 ScalarSolveResult scalar_implicit_euler_solve(const OdeSystem& system,
@@ -61,14 +116,22 @@ ScalarSolveResult scalar_implicit_euler_solve(const OdeSystem& system,
                                               double t_next, double dt,
                                               const NewtonOptions& opts,
                                               NewtonWorkspace& workspace) {
-  const std::size_t s = system.stencil_halfwidth();
-  if (window.size() != 2 * s + 1)
-    throw std::invalid_argument("scalar solve: wrong window size");
-  // assign() reuses the workspace vector's capacity: allocation-free once
-  // warm, which is the point of this overload.
-  workspace.window.assign(window.begin(), window.end());
-  return scalar_solve_core(system, j, y_prev, workspace.window, t_next, dt,
-                           opts);
+  ScalarSolveResult result;
+  scalar_implicit_euler_solve_batch(
+      system, std::span<const std::size_t>(&j, 1),
+      std::span<const double>(&y_prev, 1), window, t_next, dt, opts,
+      workspace, std::span<ScalarSolveResult>(&result, 1));
+  return result;
+}
+
+ScalarSolveResult scalar_implicit_euler_solve(const OdeSystem& system,
+                                              std::size_t j, double y_prev,
+                                              std::span<const double> window,
+                                              double t_next, double dt,
+                                              const NewtonOptions& opts) {
+  NewtonWorkspace ws;
+  return scalar_implicit_euler_solve(system, j, y_prev, window, t_next, dt,
+                                     opts, ws);
 }
 
 namespace {

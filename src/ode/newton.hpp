@@ -6,7 +6,10 @@
 // paper's `Solve`:
 //  * scalar: one nonlinear equation per component per time step, all other
 //    components frozen at the previous outer iterate (the literal
-//    Algorithm 1 loop);
+//    Algorithm 1 `Solve`). The kernel solves all of a time step's rows in
+//    lockstep (scalar_implicit_euler_solve_batch); with every neighbour
+//    frozen, the rows of a step are independent, so this gives each row
+//    exactly the values of Algorithm 1's component-outer loop;
 //  * block: one banded Newton solve per time step over a processor's whole
 //    local block, with only the *ghost* components frozen (faster outer
 //    convergence; the default in this codebase).
@@ -107,6 +110,12 @@ struct NewtonWorkspace {
   std::vector<double> rhs;
   std::vector<double> window;
   std::vector<double> band;
+  // Scalar batch: df/dy, y_prev, caller row index and global component of
+  // each row still iterating (packed in step with `window` and `rhs`).
+  std::vector<double> diag;
+  std::vector<double> batch_y_prev;
+  std::vector<std::size_t> batch_rows;
+  std::vector<std::size_t> batch_components;
   bool jac_valid = false;     // chord: held factorization usable
   std::size_t jac_age = 0;    // Newton iterations served by it
   std::size_t jac_rows = 0;   // block size it was built for
@@ -130,14 +139,31 @@ ScalarSolveResult scalar_implicit_euler_solve(const OdeSystem& system,
                                               double t_next, double dt,
                                               const NewtonOptions& opts = {});
 
-/// Workspace overload: the window copy the scalar solve mutates lives in
-/// `workspace` instead of a per-call vector — allocation-free once warm.
+/// Workspace overload: allocation-free once warm. A batch of one row.
 ScalarSolveResult scalar_implicit_euler_solve(const OdeSystem& system,
                                               std::size_t j, double y_prev,
                                               std::span<const double> window,
                                               double t_next, double dt,
                                               const NewtonOptions& opts,
                                               NewtonWorkspace& workspace);
+
+/// Lockstep batched scalar solve: the single-row solve above for
+/// components.size() independent rows of one time step. Row i is component
+/// components[i] with y_prev[i] and its stencil window at windows[i *
+/// (2s+1) ..] (centre = initial guess); its result lands in results[i].
+///
+/// Each pass evaluates f_j and df_j/dy_j of every row still iterating in
+/// one OdeSystem::rhs_and_diagonal_batch call, then applies per row the
+/// single-row operation sequence — residual, derivative clamp, update,
+/// convergence test — and compacts the rows that converged or ran out of
+/// budget out of the batch. Each row therefore gets bitwise the result the
+/// single-row solve gives it. All storage lives in `workspace`; once warm
+/// at a batch size, a call allocates nothing.
+void scalar_implicit_euler_solve_batch(
+    const OdeSystem& system, std::span<const std::size_t> components,
+    std::span<const double> y_prev, std::span<const double> windows,
+    double t_next, double dt, const NewtonOptions& opts,
+    NewtonWorkspace& workspace, std::span<ScalarSolveResult> results);
 
 struct BlockSolveResult {
   std::size_t newton_iterations = 0;  // banded solves performed

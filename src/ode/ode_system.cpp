@@ -63,6 +63,23 @@ void OdeSystem::jacobian_band_range(std::size_t first, std::size_t count,
                       band_rows.subspan(r * width, width));
 }
 
+void OdeSystem::rhs_and_diagonal_batch(std::span<const std::size_t> components,
+                                       double t,
+                                       std::span<const double> windows,
+                                       std::span<double> f,
+                                       std::span<double> dfdy) const {
+  const std::size_t width = window_size();
+  const std::size_t n = components.size();
+  if (windows.size() != n * width || f.size() != n || dfdy.size() != n)
+    throw std::invalid_argument("rhs_and_diagonal_batch: size mismatch");
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j = components[i];
+    const auto window = windows.subspan(i * width, width);
+    f[i] = rhs_component(j, t, window);
+    dfdy[i] = rhs_partial(j, j, t, window);
+  }
+}
+
 void OdeSystem::rhs_full(double t, std::span<const double> y,
                          std::span<double> dydt) const {
   const std::size_t n = dimension();

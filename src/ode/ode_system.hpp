@@ -70,6 +70,20 @@ class OdeSystem {
                                    double t, std::span<const double> y_ext,
                                    std::span<double> band_rows) const;
 
+  /// f_j and d f_j / d y_j for an arbitrary list of components in one call
+  /// (the lockstep scalar Newton kernel's evaluation). Row i is component
+  /// components[i] with its own stencil window at windows[i *
+  /// window_size() ..], packed back to back; f[i] and dfdy[i] receive the
+  /// results. The default loops rhs_component and rhs_partial(j, j) — two
+  /// virtual calls per row. An override must return bitwise the values of
+  /// that default: the scalar solver's trajectories (and through them the
+  /// virtual clock and every balancing decision) are pinned to it.
+  virtual void rhs_and_diagonal_batch(std::span<const std::size_t> components,
+                                      double t,
+                                      std::span<const double> windows,
+                                      std::span<double> f,
+                                      std::span<double> dfdy) const;
+
   /// Initial condition y(0) into `y` (size dimension()).
   virtual void initial_state(std::span<double> y) const = 0;
 

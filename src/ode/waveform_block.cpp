@@ -308,25 +308,43 @@ void WaveformBlock::sweep_chunk_block(ChunkState& cs) {
 }
 
 void WaveformBlock::sweep_chunk_scalar(ChunkState& cs) {
+  const std::size_t nb = cs.hi - cs.lo;
   const std::size_t w = 2 * stencil_ + 1;
-  if (cs.window.size() != w) cs.window.resize(w);
-  // Paper Algorithm 1 loop order: component outer, time inner; every
-  // neighboring component (local ones included) is read from Yold, so
-  // rows are independent and any chunking is bitwise-invariant here.
-  for (std::size_t r = cs.lo; r < cs.hi; ++r) {
-    const std::size_t j = first_ + r;
-    for (std::size_t step = 1; step <= num_steps_; ++step) {
-      const double t_next = dt_ * static_cast<double>(step);
-      for (std::size_t slot = 0; slot < w; ++slot) {
-        // Extended row of global component j + (slot - stencil_).
-        const std::size_t row = r + slot;  // == (j+slot-s) - (first-s)
-        cs.window[slot] = old_.at(row, step);
-      }
-      const double y_prev = new_.at(stencil_ + r, step - 1);
-      const ScalarSolveResult solve = scalar_implicit_euler_solve(
-          *system_, j, y_prev, cs.window, t_next, dt_, newton_, cs.ws);
-      const double prev = old_.at(stencil_ + r, step);
-      new_.at(stencil_ + r, step) = solve.value;
+  // Staging buffers: no-ops once sized (resize only after migration).
+  if (cs.y_prev.size() != nb) cs.y_prev.resize(nb);
+  if (cs.column.size() != nb + 2 * stencil_)
+    cs.column.resize(nb + 2 * stencil_);
+  if (cs.window.size() != nb * w) cs.window.resize(nb * w);
+  if (cs.results.size() != nb) cs.results.resize(nb);
+  if (cs.components.size() != nb) cs.components.resize(nb);
+  for (std::size_t r = 0; r < nb; ++r) cs.components[r] = first_ + cs.lo + r;
+  // Time outer, rows inner: the transpose of Algorithm 1's component-outer
+  // loop, with the same values. Every neighbour (local ones included) is
+  // read from frozen Yold and y_prev is the row's own previous step, which
+  // the previous step's batch wrote; so the rows of a step are
+  // independent, each row sees exactly the inputs Algorithm 1 gives it,
+  // and any chunking is bitwise-invariant too.
+  // Set before the first write, so that if a solve throws mid-sweep the
+  // failure path in iterate() restores the rows already written.
+  cs.wrote = nb > 0;
+  for (std::size_t step = 1; step <= num_steps_; ++step) {
+    const double t_next = dt_ * static_cast<double>(step);
+    // Extended rows [lo, hi + 2s) of Yold at this step; the window of
+    // owned row r is column[r .. r + 2s].
+    for (std::size_t m = 0; m < cs.column.size(); ++m)
+      cs.column[m] = old_.at(cs.lo + m, step);
+    for (std::size_t r = 0; r < nb; ++r) {
+      for (std::size_t slot = 0; slot < w; ++slot)
+        cs.window[r * w + slot] = cs.column[r + slot];
+      cs.y_prev[r] = new_.at(stencil_ + cs.lo + r, step - 1);
+    }
+    scalar_implicit_euler_solve_batch(*system_, cs.components, cs.y_prev,
+                                      cs.window, t_next, dt_, newton_, cs.ws,
+                                      cs.results);
+    for (std::size_t r = 0; r < nb; ++r) {
+      const ScalarSolveResult& solve = cs.results[r];
+      const double prev = cs.column[stencil_ + r];
+      new_.at(stencil_ + cs.lo + r, step) = solve.value;
       const double diff = std::abs(solve.value - prev);
       if (diff > cs.residual) cs.residual = diff;
       cs.newton_iterations += solve.iterations;
@@ -335,7 +353,6 @@ void WaveformBlock::sweep_chunk_scalar(ChunkState& cs) {
       cs.all_converged &= solve.converged;
     }
   }
-  cs.wrote = cs.hi > cs.lo;
 }
 
 void WaveformBlock::boundary_for_left(BoundaryMessage& msg) const {

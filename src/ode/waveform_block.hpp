@@ -247,7 +247,11 @@ class WaveformBlock {
     std::vector<double> y_next;
     std::vector<double> ghost_left;
     std::vector<double> ghost_right;
-    std::vector<double> window;  // scalar-mode stencil staging
+    // Scalar mode: one time step's batch (y_prev above is shared).
+    std::vector<std::size_t> components;
+    std::vector<double> column;  // Yold at the step, rows [lo, hi + 2s)
+    std::vector<double> window;  // packed stencil windows
+    std::vector<ScalarSolveResult> results;
     // Per-sweep outputs, reset by prepare_sweep(). Work is kept as exact
     // integer counters (check/iteration units and skipped steps) and
     // converted to the double work figure once during the reduction —
