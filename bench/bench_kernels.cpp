@@ -13,6 +13,7 @@
 // only on the hardware-normalized metrics — allocation counts and the
 // speedup ratios of the workspace/chord kernels over the fresh-allocation
 // kernel — plus same-machine ns regressions beyond 25%.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -358,6 +359,60 @@ SweepBenchStats run_waveform_sweeps(const KernelProblem& prob,
   return stats;
 }
 
+// ---- Pentadiagonal LU ----------------------------------------------------
+
+/// Fills a kl = ku = 2 matrix (the Brusselator Newton shape) with a
+/// diagonally dominant band.
+void fill_penta(linalg::BandedMatrix& m) {
+  const std::size_t rows = m.size();
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t c_lo = r >= 2 ? r - 2 : 0;
+    const std::size_t c_hi = std::min(rows - 1, r + 2);
+    for (std::size_t c = c_lo; c <= c_hi; ++c)
+      m.ref(r, c) = r == c ? 4.0 + 0.01 * static_cast<double>(r) : -0.4;
+  }
+}
+
+/// Times in-place factor+solve of one n x n pentadiagonal system `reps`
+/// times. Each rep restores the band and right-hand side from pristine
+/// copies (a copy is a small fraction of the LU), so every rep factors
+/// the same matrix. Reports ns per row of factor+solve and allocations
+/// per rep.
+struct LuBenchStats {
+  double ns_per_row = 0.0;
+  double allocs_per_rep = 0.0;
+};
+
+LuBenchStats run_penta_lu(std::size_t n, std::size_t reps) {
+  linalg::BandedMatrix pristine(n, 2, 2);
+  fill_penta(pristine);
+  std::vector<double> rhs0(n);
+  for (std::size_t i = 0; i < n; ++i)
+    rhs0[i] = 1.0 + 0.001 * static_cast<double>(i);
+  linalg::BandedMatrix lu = pristine;
+  std::vector<double> rhs = rhs0;
+  const auto band0 = pristine.band_data();
+  const auto band = lu.band_data();
+  double sink = 0.0;
+  const std::uint64_t a0 = allocs();
+  const auto t0 = Clock::now();
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    std::copy(band0.begin(), band0.end(), band.begin());
+    std::copy(rhs0.begin(), rhs0.end(), rhs.begin());
+    linalg::banded_lu_factor_in_place(lu);
+    linalg::banded_lu_solve_in_place(lu, rhs);
+    sink += rhs[n / 2];
+  }
+  const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
+  LuBenchStats stats;
+  stats.ns_per_row = secs * 1e9 / (static_cast<double>(reps) *
+                                   static_cast<double>(n));
+  stats.allocs_per_rep =
+      static_cast<double>(allocs() - a0) / static_cast<double>(reps);
+  if (sink < 0.0) std::cerr << "";  // keep `sink` observable
+  return stats;
+}
+
 // ---- End-to-end: a small fig5-style run ---------------------------------
 
 double end_to_end_seconds(bool quick, std::size_t intra_threads) {
@@ -611,15 +666,6 @@ int main(int argc, char** argv) {
     const std::size_t n = 2 * prob.nb;
     constexpr std::size_t kChunks = 4;
     const std::size_t reps = quick ? 2000 : 20000;
-    const auto fill = [](linalg::BandedMatrix& m) {
-      const std::size_t rows = m.size();
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::size_t c_lo = r >= 2 ? r - 2 : 0;
-        const std::size_t c_hi = std::min(rows - 1, r + 2);
-        for (std::size_t c = c_lo; c <= c_hi; ++c)
-          m.ref(r, c) = r == c ? 4.0 + 0.01 * static_cast<double>(r) : -0.4;
-      }
-    };
     linalg::BandedMatrix full(n, 2, 2);
     std::vector<linalg::BandedMatrix> parts(kChunks,
                                             linalg::BandedMatrix(n / kChunks,
@@ -631,7 +677,7 @@ int main(int argc, char** argv) {
     };
     const auto t_full0 = Clock::now();
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      fill(full);
+      fill_penta(full);
       fill_rhs();
       linalg::banded_lu_factor_in_place(full);
       linalg::banded_lu_solve_in_place(full, rhs);
@@ -643,7 +689,7 @@ int main(int argc, char** argv) {
     for (std::size_t rep = 0; rep < reps; ++rep) {
       fill_rhs();
       for (std::size_t c = 0; c < kChunks; ++c) {
-        fill(parts[c]);
+        fill_penta(parts[c]);
         linalg::banded_lu_factor_in_place(parts[c]);
         linalg::banded_lu_solve_in_place(
             parts[c], std::span<double>(rhs).subspan(c * (n / kChunks),
@@ -659,6 +705,20 @@ int main(int argc, char** argv) {
     r.allocs_per_step =
         static_cast<double>(da) / static_cast<double>(reps);
     r.speedup_vs_fresh = full_secs / chunk_secs;
+    results.push_back(r);
+  }
+
+  // -- Pentadiagonal factor+solve at the two block sizes the benchmark
+  //    workloads hand the block Newton: n = 4 (a 2-point sim-grid16
+  //    block) and n = 100 (a 50-point thread/net intra chunk). Reported
+  //    per row (ns_per_step is ns per row here).
+  for (const std::size_t n : {std::size_t{4}, std::size_t{100}}) {
+    const std::size_t rows = quick ? 200000 : 4000000;
+    const auto lu = run_penta_lu(n, rows / n);
+    BenchResult r;
+    r.name = "banded_lu_penta_n" + std::to_string(n);
+    r.ns_per_step = lu.ns_per_row;
+    r.allocs_per_step = lu.allocs_per_rep;
     results.push_back(r);
   }
 

@@ -21,6 +21,9 @@
 #                              # allocation-count or speedup regressions
 #                              # (>25%), and on raw-ns regressions when
 #                              # AIAC_BENCH_STRICT_NS=1
+#   scripts/ci.sh bench-e2e    # end-to-end benchmark package (aiacbench/):
+#                              # every workload at smoke size, then the
+#                              # checker self-test
 #
 # The sanitizer jobs run a reduced chaos sweep (AIAC_CHAOS_SEEDS): the
 # instrumented builds are ~10x slower and the 200-seed property sweep
@@ -129,6 +132,16 @@ bench_comms() {
     scripts/bench.sh --check --quick --only=comms
 }
 
+bench_e2e() {
+  echo "==> bench-e2e: end-to-end benchmark smoke + checker self-test"
+  # aiacbench/ builds its own binary from src/ (into .bench_build/), so
+  # this stage needs no tier-1 build tree. --smoke runs every workload
+  # (sim, thread, socket) at N = 24 plus all layer probes; --self-test
+  # feeds the result checker corrupted solutions it must all reject.
+  python3 aiacbench/run.py --smoke
+  python3 aiacbench/run.py --self-test
+}
+
 case "$stage" in
   tier1) tier1 ;;
   tsan) tsan ;;
@@ -137,8 +150,9 @@ case "$stage" in
   lint) lint ;;
   bench-smoke) bench_smoke ;;
   bench-comms) bench_comms ;;
-  all) tier1; tsan; asan; ubsan; lint; bench_smoke; bench_comms ;;
-  *) echo "unknown stage: $stage (tier1|tsan|asan|ubsan|lint|bench-smoke|bench-comms|all)" >&2
+  bench-e2e) bench_e2e ;;
+  all) tier1; tsan; asan; ubsan; lint; bench_smoke; bench_comms; bench_e2e ;;
+  *) echo "unknown stage: $stage (tier1|tsan|asan|ubsan|lint|bench-smoke|bench-comms|bench-e2e|all)" >&2
      exit 2 ;;
 esac
 echo "==> ci: all requested stages green"

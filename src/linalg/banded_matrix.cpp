@@ -65,32 +65,57 @@ std::vector<double> BandedMatrix::to_dense() const {
 
 namespace {
 
+// Cold, out-of-line pivot failure: keeps the string formatting out of the
+// factorization loops.
+[[noreturn]] [[gnu::cold]] [[gnu::noinline]] void throw_tiny_pivot(
+    std::size_t row) {
+  throw std::runtime_error("banded LU: pivot below tolerance at row " +
+                           std::to_string(row));
+}
+
 // Fixed-bandwidth kl == ku == KL specializations of the factor/solve
 // loops below. The Newton systems are tridiagonal (stencil 1) or
-// pentadiagonal (stencil 2), so these cover the entire hot path. With
-// the stride and shift arithmetic compile-time constants and the row
-// pointers __restrict-qualified, the compiler fully unrolls the O(KL)
-// inner loops and keeps the active band rows in registers — the
-// per-element operations and their order are *identical* to the generic
-// loops, so the results are bitwise equal (the parity suites rely on
-// that).
+// pentadiagonal (stencil 2), so these cover the entire hot path. Each
+// kernel is an interior loop whose inner trip counts are the
+// compile-time KL, so the compiler unrolls them completely into
+// straight-line code, plus peeled head/tail rows that keep the generic
+// data-dependent bounds. Data-dependent bounds in every row would let
+// the auto-vectorizer version these 1-2 trip loops instead of unrolling
+// them, at 2-3x the cost. Every element sees the generic loops'
+// operations in the generic order — no reciprocal pivots beyond the
+// generic `inv_pivot`, no contraction, no reordering — so the results
+// are bitwise equal (the parity and golden suites rely on that).
 template <std::size_t KL>
 void factor_small_band(double* __restrict data, std::size_t n,
                        double pivot_tolerance) {
   constexpr std::size_t stride = 2 * KL + 1;
-  for (std::size_t k = 0; k < n; ++k) {
+  // Interior pivots k + KL <= n - 1: rows k+1..k+KL, columns k+1..k+KL.
+  const std::size_t interior_end = n > KL ? n - KL : 0;
+  std::size_t k = 0;
+  for (; k < interior_end; ++k) {
     const double* __restrict row_k = data + k * stride;
     const double pivot = row_k[KL];
-    if (std::abs(pivot) < pivot_tolerance)
-      throw std::runtime_error("banded LU: pivot below tolerance at row " +
-                               std::to_string(k));
+    if (std::abs(pivot) < pivot_tolerance) throw_tiny_pivot(k);
     const double inv_pivot = 1.0 / pivot;
-    const std::size_t r_hi = std::min(n - 1, k + KL);
-    for (std::size_t r = k + 1; r <= r_hi; ++r) {
+    for (std::size_t d = 1; d <= KL; ++d) {
+      double* __restrict row_r = data + (k + d) * stride;
+      const double factor = row_r[KL - d] * inv_pivot;
+      row_r[KL - d] = factor;
+      for (std::size_t e = 1; e <= KL; ++e)
+        row_r[KL + e - d] -= factor * row_k[KL + e];
+    }
+  }
+  // Tail pivots: the band is clipped at row/column n - 1.
+  for (; k < n; ++k) {
+    const double* __restrict row_k = data + k * stride;
+    const double pivot = row_k[KL];
+    if (std::abs(pivot) < pivot_tolerance) throw_tiny_pivot(k);
+    const double inv_pivot = 1.0 / pivot;
+    for (std::size_t r = k + 1; r < n; ++r) {
       double* __restrict row_r = data + r * stride;
       const double factor = row_r[k + KL - r] * inv_pivot;
       row_r[k + KL - r] = factor;
-      for (std::size_t c = k + 1; c <= r_hi; ++c)
+      for (std::size_t c = k + 1; c < n; ++c)
         row_r[c + KL - r] -= factor * row_k[c + KL - k];
     }
   }
@@ -100,19 +125,35 @@ template <std::size_t KL>
 void solve_small_band(const double* __restrict data, std::size_t n,
                       double* __restrict b) {
   constexpr std::size_t stride = 2 * KL + 1;
-  for (std::size_t i = 0; i < n; ++i) {
+  const std::size_t edge = std::min(n, KL);
+  // Forward substitution: head rows i < KL see only columns 0..i-1.
+  std::size_t i = 0;
+  for (; i < edge; ++i) {
     const double* __restrict row = data + i * stride;
-    const std::size_t j_lo = i > KL ? i - KL : 0;
     double sum = b[i];
-    for (std::size_t j = j_lo; j < i; ++j) sum -= row[j + KL - i] * b[j];
+    for (std::size_t j = 0; j < i; ++j) sum -= row[j + KL - i] * b[j];
     b[i] = sum;
   }
-  for (std::size_t ii = n; ii-- > 0;) {
+  for (; i < n; ++i) {
+    const double* __restrict row = data + i * stride;
+    double sum = b[i];
+    for (std::size_t e = 0; e < KL; ++e) sum -= row[e] * b[i - KL + e];
+    b[i] = sum;
+  }
+  // Back substitution: tail rows ii > n - 1 - KL see only columns < n.
+  std::size_t ii = n;
+  for (; ii > n - edge;) {
+    --ii;
     const double* __restrict row = data + ii * stride;
-    const std::size_t j_hi = std::min(n - 1, ii + KL);
     double sum = b[ii];
-    for (std::size_t j = ii + 1; j <= j_hi; ++j)
-      sum -= row[j + KL - ii] * b[j];
+    for (std::size_t j = ii + 1; j < n; ++j) sum -= row[j + KL - ii] * b[j];
+    b[ii] = sum / row[KL];
+  }
+  while (ii > 0) {
+    --ii;
+    const double* __restrict row = data + ii * stride;
+    double sum = b[ii];
+    for (std::size_t e = 1; e <= KL; ++e) sum -= row[KL + e] * b[ii + e];
     b[ii] = sum / row[KL];
   }
 }
@@ -136,9 +177,7 @@ void banded_lu_factor_in_place(BandedMatrix& a, double pivot_tolerance) {
   for (std::size_t k = 0; k < n; ++k) {
     const double* row_k = data + k * stride;
     const double pivot = row_k[kl];
-    if (std::abs(pivot) < pivot_tolerance)
-      throw std::runtime_error("banded LU: pivot below tolerance at row " +
-                               std::to_string(k));
+    if (std::abs(pivot) < pivot_tolerance) throw_tiny_pivot(k);
     const double inv_pivot = 1.0 / pivot;
     const std::size_t r_hi = std::min(n - 1, k + kl);
     const std::size_t c_hi = std::min(n - 1, k + ku);

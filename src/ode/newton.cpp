@@ -143,7 +143,10 @@ namespace {
 /// band-storage slot layout for kl = ku = s, so rows are written at full
 /// stride. Slots whose column falls outside the block are band-storage
 /// padding for edge rows — writable, never read by factor/solve — so no
-/// per-slot range check is needed.
+/// per-slot range check is needed. A = I - dt J is written branch-free in
+/// two passes: `0.0 - dt * band` over every slot, then `1.0 - dt * band`
+/// over the diagonal — the per-slot expressions of the one-pass form, so
+/// the bits are the same.
 void assemble_and_factor(const OdeSystem& system, std::size_t first,
                          std::size_t nb, double t_next, double dt,
                          NewtonWorkspace& ws) {
@@ -153,10 +156,9 @@ void assemble_and_factor(const OdeSystem& system, std::size_t first,
   system.jacobian_band_range(first, nb, t_next, ws.window, ws.band);
   double* data = ws.jac.band_data().data();
   const double* band = ws.band.data();
-  for (std::size_t r = 0; r < nb; ++r)
-    for (std::size_t slot = 0; slot < width; ++slot)
-      data[r * width + slot] =
-          (slot == s ? 1.0 : 0.0) - dt * band[r * width + slot];
+  const std::size_t slots = nb * width;
+  for (std::size_t i = 0; i < slots; ++i) data[i] = 0.0 - dt * band[i];
+  for (std::size_t i = s; i < slots; i += width) data[i] = 1.0 - dt * band[i];
   linalg::banded_lu_factor_in_place(ws.jac);
   ++ws.factorizations;
   ws.jac_age = 0;

@@ -8,37 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
-#include <span>
 
 #include "core/config.hpp"
 #include "core/sim_engine.hpp"
 #include "grid/grid.hpp"
+#include "golden_hash.hpp"
 #include "ode/brusselator.hpp"
 
 namespace {
 
 using namespace aiac;
-
-/// 64-bit FNV-1a over raw bytes.
-class Fnv1a {
- public:
-  void add_bytes(const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ ^= bytes[i];
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  template <typename T>
-  void add(const T& value) {
-    add_bytes(&value, sizeof(T));
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 std::uint64_t run_hash(bool load_balancing, std::size_t intra) {
   ode::Brusselator::Params params;
@@ -71,15 +50,7 @@ std::uint64_t run_hash(bool load_balancing, std::size_t intra) {
   const core::EngineResult result =
       core::run_simulated(system, *grid, config);
   EXPECT_TRUE(result.converged) << result.failure_reason;
-  Fnv1a hash;
-  const std::span<const double> solution = result.solution.raw();
-  hash.add_bytes(solution.data(), solution.size_bytes());
-  hash.add(result.execution_time);
-  hash.add(result.total_work);
-  hash.add(result.total_iterations);
-  for (const std::size_t it : result.iterations_per_processor) hash.add(it);
-  hash.add(result.migrations);
-  return hash.value();
+  return golden::result_hash(result);
 }
 
 // Scalar mode is chunk-invariant, so both chunk counts share one hash.
