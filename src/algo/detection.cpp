@@ -9,26 +9,16 @@ DetectionProtocol::DetectionProtocol(DetectionMode mode,
                                      std::size_t processors,
                                      Transport& transport,
                                      DetectionDriver& driver)
-    : distributed_(transport.delivers_control_frames()),
-      mode_(mode),
+    : mode_(mode),
       processors_(processors),
       transport_(&transport),
       driver_(&driver),
       reported_(processors, false),
       coordinator_view_(processors, false) {}
 
-/// Every protocol message leaves through here: the in-process drivers get
-/// the frame wrapped in a post_control closure (delivered with the
-/// driver's latency and accounting, exactly the old behavior), a
-/// frame-delivering transport gets the plain frame to put on the wire.
 void DetectionProtocol::send(std::size_t src, std::size_t dst,
                              const ControlFrame& frame) {
-  if (distributed_) {
-    transport_->send_control_frame(src, dst, frame);
-    return;
-  }
-  transport_->post_control(src, dst,
-                           [this, dst, frame] { handle_control(dst, frame); });
+  transport_->send_control(src, dst, frame);
 }
 
 void DetectionProtocol::on_iteration_end(std::size_t rank) {
@@ -66,11 +56,12 @@ void DetectionProtocol::handle_control(std::size_t at,
     case ControlFrame::Kind::kVerifyRequest: {
       if (halting_) return;
       // A stale request (the round it belongs to was aborted) is dropped
-      // early where the current epoch is known: always in the shared
-      // instance, only at rank 0 in the distributed deployment — a remote
-      // rank cannot see the coordinator's epoch, so it acks anyway and
-      // rank 0 discards the stale ack on arrival.
-      if ((!distributed_ || at == 0) && frame.epoch != verify_epoch_) return;
+      // early where the current epoch is known: in any instance that has
+      // opened a verification round — the shared instance, or rank 0's own
+      // when each process runs one. A remote rank's instance never opens
+      // one, so it acks anyway and rank 0 discards the stale ack on
+      // arrival.
+      if (verify_epoch_ != 0 && frame.epoch != verify_epoch_) return;
       const bool ok = driver_->confirm_converged(at);
       ControlFrame ack;
       ack.kind = ControlFrame::Kind::kVerifyAck;
@@ -100,8 +91,8 @@ void DetectionProtocol::handle_control(std::size_t at,
       if (driver_->node_idle(at)) handle_token(at);
       return;
     case ControlFrame::Kind::kHalt:
-      // Only a frame-delivering driver ships these (its broadcast_halt);
-      // the receiving worker polls halting() and winds down.
+      // Only the socket backend ships these (its broadcast_halt); the
+      // receiving worker polls halting() and winds down.
       halting_ = true;
       return;
   }
@@ -164,8 +155,8 @@ void DetectionProtocol::handle_token(std::size_t rank) {
   }
   const std::size_t next = (rank + 1) % processors_;
   // The sender stops acting as holder the moment the token leaves; the
-  // shared instance clears in_flight/holder when the frame lands, a
-  // distributed receiver's own instance does so in its handler.
+  // receiving instance (the same one when it is shared) clears
+  // in_flight/holder when the frame lands.
   token_in_flight_ = true;
   ControlFrame token;
   token.kind = ControlFrame::Kind::kToken;

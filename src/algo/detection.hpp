@@ -1,16 +1,18 @@
-// Convergence detection, implemented once for both drivers.
+// Convergence detection, implemented once for every driver.
 //
 // Three modes (see types.hpp): the oracle is a driver-side global probe
 // (`oracle_probe` below — the driver guarantees a quiescent view, by
 // construction in the single-threaded simulator, by holding every block
 // lock in the threaded engine); coordinator and token-ring are genuine
 // message protocols driven through `DetectionProtocol`, whose control
-// messages travel over Transport::post_control with the driver's latency
-// and accounting.
+// messages are plain-data ControlFrames sent through
+// Transport::send_control with the driver's latency and accounting. The
+// in-process drivers share one instance across all ranks; the socket
+// backend runs one instance per process.
 //
 // DetectionProtocol is not thread-safe: the threaded driver serializes all
-// calls (on_iteration_end and the delivered closures) under one detection
-// mutex; the simulated driver is single-threaded by construction.
+// calls (on_iteration_end and the drained control frames) under one
+// detection mutex; the simulated driver is single-threaded by construction.
 #pragma once
 
 #include <cstddef>
@@ -69,13 +71,11 @@ class DetectionProtocol {
   /// in if this node holds it.
   void on_iteration_end(std::size_t rank);
 
-  /// Processes a control frame in rank `at`'s execution context. Every
-  /// control message of the protocol is a plain-data ControlFrame; for the
-  /// in-process drivers this is invoked by the closure the frame traveled
-  /// in (Transport::post_control), while a frame-delivering transport
-  /// (Transport::delivers_control_frames) hands decoded wire frames here
-  /// directly — one protocol instance per process, `at` always the local
-  /// rank.
+  /// Processes a control frame in rank `at`'s execution context: the
+  /// driver calls this when a frame sent through Transport::send_control
+  /// reaches `at`. With one instance per process (socket backend) `at` is
+  /// always the local rank, and coordinator bookkeeping lives only in
+  /// rank 0's instance.
   void handle_control(std::size_t at, const ControlFrame& frame);
 
   /// The halt decision has been taken (broadcast may still be in flight).
@@ -87,12 +87,6 @@ class DetectionProtocol {
   void maybe_begin_verification();
   void handle_token(std::size_t rank);
   void halt();
-
-  /// One instance per process, frames over a real wire (see
-  /// handle_control). Coordinator bookkeeping then lives only in rank 0's
-  /// instance and sender state only in the sender's; the shared-instance
-  /// drivers see bit-identical behavior through the closure path.
-  bool distributed_ = false;
 
   DetectionMode mode_;
   std::size_t processors_;
@@ -110,8 +104,8 @@ class DetectionProtocol {
   // in flight, about to disturb a receiver whose report the view trusts.
   // The coordinator instead asks every node to confirm
   // (driver_->confirm_converged at request delivery); one false ack
-  // aborts the round. `verify_epoch_` invalidates closures of aborted
-  // rounds; `verify_rearm_` records a converged-node heartbeat that
+  // aborts the round. `verify_epoch_` invalidates frames of aborted
+  // rounds (it stays 0 in an instance that never opened one); `verify_rearm_` records a converged-node heartbeat that
   // arrived mid-round, so an aborted round retries once the aborting
   // ack has been consumed (never a same-instant retry loop).
   bool verifying_ = false;

@@ -1,31 +1,31 @@
 // The two narrow interfaces through which the backend-agnostic algorithm
 // layer is driven (see DESIGN.md "The algo layer"):
 //
-//  * Transport — how bytes leave a processor. The virtual-time driver
-//    schedules discrete-event deliveries with grid latencies; the threaded
-//    driver pushes into SlotBox/Mailbox channels.
+//  * Transport — how boundary data, migrations and detection control
+//    leave a processor. The virtual-time driver schedules discrete-event
+//    deliveries with grid latencies; the threaded driver pushes into
+//    SlotBox/Mailbox channels; the model checker queues every delivery
+//    for its scheduler; the socket backend writes wire frames.
 //  * ClockModel — how work units map to seconds. The virtual-time driver
-//    predicts durations from the grid model; the threaded driver measures
+//    predicts durations from the grid model; the measuring drivers read
 //    wall time.
 //
 // Everything above these interfaces (ProcessorCore, DetectionProtocol,
-// Partitioner) is identical algorithm code for both backends.
+// Partitioner) is identical algorithm code for every backend.
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <stdexcept>
 
 #include "algo/types.hpp"
 #include "ode/waveform_block.hpp"
 
 namespace aiac::algo {
 
-/// One convergence-detection control message as plain data. The protocol
-/// (algo/detection.hpp) used to exchange these as closures, which only
-/// works while every rank lives in one address space; as a struct the same
-/// protocol can run with one instance per OS process, the frames shipped
-/// over a real wire (src/net/wire.hpp serializes exactly this).
+/// One convergence-detection control message as plain data — the only
+/// form detection control takes on any backend. In-process drivers queue
+/// it; the socket backend ships it over a real wire (src/net/wire.hpp
+/// serializes exactly this), so the same protocol runs with one shared
+/// instance or with one instance per OS process.
 struct ControlFrame {
   enum class Kind : unsigned char {
     kReport,         // sender's local-convergence flag flipped
@@ -58,34 +58,14 @@ class Transport {
   virtual void send_migration(std::size_t src, Side toward,
                               ode::MigrationPayload payload) = 0;
 
-  /// Posts a convergence-detection control message. `deliver` must run in
-  /// the destination's execution context after the driver's control
-  /// latency: at the scheduled virtual delivery time for the simulated
-  /// driver, at the destination thread's next control drain for the
-  /// threaded one. The driver accounts message counts/bytes.
-  virtual void post_control(std::size_t src, std::size_t dst,
-                            std::function<void()> deliver) = 0;
-
-  // ---- Capability hooks (multi-process transports) --------------------
-
-  /// True when this transport ships detection control as plain-data
-  /// ControlFrames to remote ranks instead of in-process closures. The
-  /// in-process drivers (simulated, threaded, model checker) keep the
-  /// closure path and share one DetectionProtocol instance; a
-  /// frame-delivering transport (the socket backend) runs one protocol
-  /// instance per process and routes every control message — including
-  /// self-addressed ones — through send_control_frame.
-  virtual bool delivers_control_frames() const { return false; }
-
-  /// Ships `frame` to rank `dst`; the receiving driver must hand it to its
-  /// local DetectionProtocol::handle_control in `dst`'s execution context.
-  /// Only called when delivers_control_frames() is true.
-  virtual void send_control_frame(std::size_t /*src*/, std::size_t /*dst*/,
-                                  const ControlFrame& /*frame*/) {
-    throw std::logic_error(
-        "Transport::send_control_frame: transport does not deliver "
-        "control frames");
-  }
+  /// Ships detection control `frame` from `src` to `dst` (possibly `src`
+  /// itself). The driver hands it to DetectionProtocol::handle_control(dst,
+  /// frame) in `dst`'s execution context after its control latency: at
+  /// the scheduled virtual delivery time for the simulated driver, at the
+  /// destination thread's or process's next control drain for the
+  /// measuring ones. The driver accounts message counts/bytes.
+  virtual void send_control(std::size_t src, std::size_t dst,
+                            const ControlFrame& frame) = 0;
 };
 
 class ClockModel {

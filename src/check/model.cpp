@@ -105,9 +105,9 @@ void CheckedModel::apply(const Action& action) {
     case Action::Kind::kDeliverControl: {
       if (ch.control.empty())
         throw std::logic_error("deliver-control on an empty queue");
-      auto deliver = std::move(ch.control.front());
+      const algo::ControlFrame frame = ch.control.front();
       ch.control.pop_front();
-      deliver();
+      protocol_->handle_control(action.target, frame);
       break;
     }
   }
@@ -128,7 +128,7 @@ void CheckedModel::step(std::size_t p) {
 
   if (config_.load_balancing) try_load_balance(p);
 
-  if (halted_) return;  // a control closure can have halted us mid-step
+  if (halted_) return;  // a control frame can have halted us mid-step
   if (config_.detection == algo::DetectionMode::kOracle)
     run_oracle();
   else
@@ -217,9 +217,9 @@ void CheckedModel::send_migration(std::size_t src, Side toward,
   }
 }
 
-void CheckedModel::post_control(std::size_t, std::size_t dst,
-                                std::function<void()> deliver) {
-  channels_[dst].control.push_back(std::move(deliver));
+void CheckedModel::send_control(std::size_t, std::size_t dst,
+                                const algo::ControlFrame& frame) {
+  channels_[dst].control.push_back(frame);
 }
 
 bool CheckedModel::locally_converged(std::size_t rank) const {

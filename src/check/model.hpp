@@ -1,8 +1,9 @@
 // The model checker's driver: a third implementation of the algo-layer
 // interfaces (after core/sim_engine and core/thread_engine), in which
 // every source of nondeterminism — who iterates next, when a boundary or
-// migration message is delivered, when a detection closure runs — is a
-// scheduler decision instead of a thread race or an event-queue latency.
+// migration message is delivered, when a detection control frame is
+// handled — is a scheduler decision instead of a thread race or an
+// event-queue latency.
 //
 // The model is a plain state machine: `enabled_actions()` lists what could
 // happen next, `apply()` makes one of those things happen atomically.
@@ -20,7 +21,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -91,7 +91,7 @@ struct Action {
     kStep,             // processor runs one full iteration
     kDeliverBoundary,  // in-flight boundary message reaches the inbox
     kDeliverMigration, // in-flight migration payload reaches the queue
-    kDeliverControl,   // queued detection closure runs at the destination
+    kDeliverControl,   // queued detection frame is handled at the destination
   };
   Kind kind = Kind::kStep;
   std::size_t target = 0;              // the processor acted upon
@@ -159,8 +159,8 @@ class CheckedModel final : public algo::Transport,
                      ode::BoundaryMessage msg) override;
   void send_migration(std::size_t src, algo::Side toward,
                       ode::MigrationPayload payload) override;
-  void post_control(std::size_t src, std::size_t dst,
-                    std::function<void()> deliver) override;
+  void send_control(std::size_t src, std::size_t dst,
+                    const algo::ControlFrame& frame) override;
 
   // ---- algo::ClockModel ---------------------------------------------
   /// Logical time: one tick per applied action. Durations are meaningless
@@ -188,7 +188,7 @@ class CheckedModel final : public algo::Transport,
     std::deque<ode::MigrationPayload> migration_left;
     std::deque<ode::MigrationPayload> migration_right;
     /// FIFO detection-control deliveries for this destination.
-    std::deque<std::function<void()>> control;
+    std::deque<algo::ControlFrame> control;
   };
 
   void step(std::size_t p);

@@ -1,18 +1,26 @@
 // Shared configuration and result types for the parallel iterative
-// engines (simulated and threaded backends).
+// engines (simulated, threaded and socket backends), and the driver
+// plumbing they share around the algo layer.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "algo/types.hpp"
 #include "lb/balancer.hpp"
 #include "lb/estimators.hpp"
+#include "ode/boundary_delta.hpp"
 #include "ode/newton.hpp"
 #include "ode/trajectory.hpp"
 #include "ode/waveform_block.hpp"
 #include "runtime/fault_injector.hpp"
+
+namespace aiac::algo {
+class CoreFleet;
+struct FleetConfig;
+}  // namespace aiac::algo
 
 namespace aiac::core {
 
@@ -159,5 +167,38 @@ struct EngineResult {
   double detection_gap = -1.0;
   double detection_max_residual = -1.0;
 };
+
+// ---- Driver plumbing shared by the engines --------------------------------
+
+/// The algo layer's fleet settings for `processors` ranks. Speeds are
+/// copied as given: the simulated driver fills its grid's peak speeds
+/// when the partition is speed-weighted and none were given.
+algo::FleetConfig fleet_config(const EngineConfig& config,
+                               std::size_t processors);
+
+/// Worker threads for one intra-iterate pool (DESIGN.md §13), given how
+/// many ranks share this host's hardware threads: each rank's dispatching
+/// thread plus its workers stay within an even share of
+/// hardware_concurrency, so ranks_sharing_host * (1 + workers) never
+/// oversubscribes the machine. 0 (chunks run inline, with identical
+/// results) when intra_threads <= 1 or the share leaves no room.
+std::size_t intra_pool_workers(const EngineConfig& config,
+                               std::size_t ranks_sharing_host);
+
+/// The delta planner settings the byte accounting runs with; empty when
+/// delta boundaries are disabled.
+std::optional<ode::BoundaryDeltaSender::Config> delta_config(
+    const EngineConfig& config);
+
+/// The failure_reason of a run stopped by max_iterations_per_processor.
+std::string iteration_budget_reason(const EngineConfig& config);
+
+/// Drains every core's queued migrations, then folds the fleet into a
+/// fresh result: solution rows, iterations, components, work, migrations
+/// (and their bytes), the famine watermark and the final residual.
+/// Everything else — convergence, time, message counters, the detection
+/// audit — is the driver's to fill.
+EngineResult fleet_result(algo::CoreFleet& fleet, std::size_t dimension,
+                          std::size_t num_steps);
 
 }  // namespace aiac::core

@@ -2,20 +2,18 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
-#include <thread>
-
 #include "algo/detection.hpp"
+#include "algo/link_meter.hpp"
 #include "algo/processor_core.hpp"
 #include "algo/runtime_ifaces.hpp"
 #include "algo/trace_sink.hpp"
 #include "des/simulator.hpp"
-#include "ode/boundary_delta.hpp"
 #include "trace/execution_trace.hpp"
 #include "runtime/worker_pool.hpp"
 #include "util/log.hpp"
@@ -37,70 +35,34 @@ class SimEngine final : public algo::Transport,
  public:
   SimEngine(const ode::OdeSystem& system, grid::Grid& grid,
             const EngineConfig& config, trace::ExecutionTrace* trace)
-      : system_(system), grid_(grid), config_(config), trace_(trace) {
+      : system_(system),
+        grid_(grid),
+        config_(config),
+        trace_(trace),
+        links_(grid.process_count(), delta_config(config)) {
     const std::size_t nprocs = grid.process_count();
     if (nprocs == 0) throw std::invalid_argument("SimEngine: no processors");
 
-    algo::FleetConfig fc;
-    fc.processors = nprocs;
-    fc.partition = config.initial_partition;
-    fc.speeds = config.processor_speeds;
+    algo::FleetConfig fc = fleet_config(config, nprocs);
     if (fc.speeds.empty() &&
         config.initial_partition == InitialPartition::kSpeedWeighted) {
       fc.speeds.resize(nprocs);
       for (std::size_t p = 0; p < nprocs; ++p)
         fc.speeds[p] = grid.machine_of(p).peak_speed();
     }
-    fc.num_steps = config.num_steps;
-    fc.t_end = config.t_end;
-    fc.solve_mode = config.solve_mode;
-    fc.newton = config.newton;
-    fc.receive_filter = config.tolerance * config.receive_filter_factor;
-    fc.tolerance = config.tolerance;
-    fc.persistence = config.persistence;
-    fc.estimator = config.estimator;
-    fc.balancer = config.balancer;
-    fc.intra_chunks = config.intra_threads;
     fleet_ = std::make_unique<algo::CoreFleet>(system, fc);
 
     // Intra-processor parallelism: the event loop runs one core at a
     // time on this thread, so a single shared pool serves every core's
-    // chunk job. Workers are capped at hardware_concurrency - 1 (the
-    // dispatching thread participates); when the cap leaves no room the
-    // chunks run inline with identical results.
-    if (config.intra_threads > 1) {
-      const std::size_t hw = std::max<std::size_t>(
-          1, std::thread::hardware_concurrency());
-      const std::size_t workers =
-          std::min(config.intra_threads - 1, hw - 1);
-      if (workers > 0) {
-        intra_pool_ = std::make_unique<runtime::WorkerPool>(workers);
-        for (std::size_t p = 0; p < nprocs; ++p)
-          fleet_->core(p).set_worker_pool(intra_pool_.get());
-      }
+    // chunk job, sized as for one rank on the host.
+    if (const std::size_t workers = intra_pool_workers(config, 1);
+        workers > 0) {
+      intra_pool_ = std::make_unique<runtime::WorkerPool>(workers);
+      for (std::size_t p = 0; p < nprocs; ++p)
+        fleet_->core(p).set_worker_pool(intra_pool_.get());
     }
 
     procs_.resize(nprocs);
-    // Wire-equivalent byte accounting (DESIGN.md §14): one planner per
-    // directed link, identical to the socket backend's, so the byte
-    // counters and the trace charge the size a delta-capable wire would
-    // carry. The delay model and the delivered values stay on the full
-    // message — virtual-time results are unchanged by the metric.
-    if (config.delta_boundaries) {
-      const ode::BoundaryDeltaSender::Config dc{
-          config.tolerance * config.delta_threshold_factor,
-          config.delta_refresh_period};
-      delta_to_left_.assign(nprocs, ode::BoundaryDeltaSender(dc));
-      delta_to_right_.assign(nprocs, ode::BoundaryDeltaSender(dc));
-    }
-    comms_to_left_.resize(nprocs);
-    comms_to_right_.resize(nprocs);
-    for (std::size_t p = 0; p < nprocs; ++p) {
-      comms_to_left_[p].src = p;
-      comms_to_left_[p].dst = p > 0 ? p - 1 : p;
-      comms_to_right_[p].src = p;
-      comms_to_right_[p].dst = p + 1 < nprocs ? p + 1 : p;
-    }
     lb_link_busy_.assign(nprocs > 0 ? nprocs - 1 : 0, false);
     lb_link_inflight_.resize(nprocs > 0 ? nprocs - 1 : 0);
     link_clear_.assign(nprocs > 0 ? nprocs - 1 : 0, {0.0, 0.0});
@@ -112,6 +74,7 @@ class SimEngine final : public algo::Transport,
   EngineResult run() {
     for (std::size_t p = 0; p < procs_.size(); ++p) try_start(p);
     sim_.run(/*max_events=*/200'000'000ULL);
+    stop_all(/*converged=*/false);  // no-op unless the event queue drained
     return assemble_result();
   }
 
@@ -169,23 +132,23 @@ class SimEngine final : public algo::Transport,
     });
   }
 
-  void post_control(std::size_t src, std::size_t dst,
-                    std::function<void()> deliver) override {
+  void send_control(std::size_t src, std::size_t dst,
+                    const algo::ControlFrame& frame) override {
     const double now_ = sim_.now();
     const double delay =
         src == dst
             ? 0.0
             : grid_.message_delay(src, dst, config_.control_message_bytes,
                                   now_);
-    ++result_control_messages_;
-    result_bytes_ += config_.control_message_bytes;
+    ++control_messages_;
+    control_bytes_ += config_.control_message_bytes;
     if (src != dst)
       algo::emit_message(trace_, src, dst, now_, now_ + delay,
                          config_.control_message_bytes,
                          trace::MessageKind::kControl);
-    sim_.schedule_at(now_ + delay, [this, deliver = std::move(deliver)] {
+    sim_.schedule_at(now_ + delay, [this, dst, frame] {
       if (stopped_) return;
-      deliver();
+      protocol_->handle_control(dst, frame);
     });
   }
 
@@ -223,8 +186,8 @@ class SimEngine final : public algo::Transport,
           p == 0 ? 0.0
                  : grid_.message_delay(0, p, config_.control_message_bytes,
                                        now_);
-      ++result_control_messages_;
-      result_bytes_ += config_.control_message_bytes;
+      ++control_messages_;
+      control_bytes_ += config_.control_message_bytes;
       sim_.schedule_at(now_ + delay, [this, p] {
         procs_[p].halted = true;
         if (std::all_of(procs_.begin(), procs_.end(),
@@ -356,27 +319,8 @@ class SimEngine final : public algo::Transport,
     // the receiver always gets the full-precision values.
     const double delay = grid_.message_delay(src, dst, msg.byte_size(), sent);
     const double arrival = link_delivery_time(src, dst, sent + delay);
-    std::size_t wire_bytes = msg.byte_size();
-    bool full = true;
-    if (config_.delta_boundaries) {
-      ode::BoundaryDeltaSender& planner =
-          to_left ? delta_to_left_[src] : delta_to_right_[src];
-      if (planner.plan(msg, delta_scratch_) ==
-          ode::BoundaryDeltaSender::Plan::kDelta) {
-        wire_bytes = delta_scratch_.byte_size();
-        full = false;
-      }
-    }
-    trace::CommsRecord& comms =
-        to_left ? comms_to_left_[src] : comms_to_right_[src];
-    ++comms.frames_sent;
-    if (full)
-      ++comms.frames_full;
-    else
-      ++comms.frames_delta;
-    comms.bytes_sent += wire_bytes;
-    ++result_data_messages_;
-    result_bytes_ += wire_bytes;
+    const std::size_t wire_bytes =
+        links_.toward(src, to_left ? Side::kLeft : Side::kRight).charge(msg);
     algo::emit_message(trace_, src, dst, sent, arrival, wire_bytes,
                        trace::MessageKind::kBoundaryData);
     sim_.schedule_at(arrival, [this, src, dst, msg, to_left] {
@@ -491,11 +435,24 @@ class SimEngine final : public algo::Transport,
     sim_.stop();
   }
 
+  /// Why an unconverged run stopped, read off the final state: a core at
+  /// the iteration budget stopped it the moment it got there, otherwise
+  /// the virtual-time limit did, otherwise the event queue ran dry.
+  std::string stop_reason() const {
+    for (std::size_t p = 0; p < procs_.size(); ++p)
+      if (fleet_->core(p).iteration() >= config_.max_iterations_per_processor)
+        return iteration_budget_reason(config_);
+    if (execution_time_ >= config_.max_virtual_time)
+      return "virtual-time limit reached (" +
+             std::to_string(config_.max_virtual_time) + " s)";
+    return "event queue drained without a halt";
+  }
+
   // ---- Result assembly ----------------------------------------------
 
   EngineResult assemble_result() {
-    // Recover migrations caught mid-flight by a stop, then drain queues,
-    // so the solution trajectory covers every component exactly once.
+    // Recover migrations caught mid-flight by a stop (fleet_result drains
+    // the queues), so the solution covers every component exactly once.
     for (std::size_t link = 0; link < lb_link_inflight_.size(); ++link) {
       if (!lb_link_inflight_[link]) continue;
       auto& payload = *lb_link_inflight_[link];
@@ -507,52 +464,16 @@ class SimEngine final : public algo::Transport,
                                                  std::move(payload));
       lb_link_inflight_[link].reset();
     }
-    for (std::size_t p = 0; p < procs_.size(); ++p)
-      fleet_->core(p).drain_pending_migrations();
 
-    EngineResult result;
+    EngineResult result =
+        fleet_result(*fleet_, system_.dimension(), config_.num_steps);
     result.converged = result_converged_;
-    result.execution_time = execution_time_ >= 0 ? execution_time_ : sim_.now();
-    result.solution = ode::Trajectory(system_.dimension(), config_.num_steps);
-    result.min_components_observed = procs_.empty() ? 0 : SIZE_MAX;
-    for (std::size_t p = 0; p < procs_.size(); ++p) {
-      const algo::ProcessorCore& core = fleet_->core(p);
-      core.block().copy_local_into(result.solution);
-      result.total_iterations += core.iteration();
-      result.iterations_per_processor.push_back(core.iteration());
-      result.final_components.push_back(core.components());
-      result.total_work += core.total_work();
-      result.migrations += core.migrations_out();
-      result.components_migrated += core.components_out();
-      result.bytes_sent += core.lb_bytes_out();
-      result.min_components_observed =
-          std::min(result.min_components_observed, core.min_components_seen());
-      if (!std::isinf(core.last_residual()))
-        result.final_max_residual =
-            std::max(result.final_max_residual, core.last_residual());
-    }
-    if (trace_) {
-      for (std::size_t p = 0; p < procs_.size(); ++p) {
-        trace::CommsRecord& left = comms_to_left_[p];
-        if (p > 0 && left.frames_sent > 0) {
-          if (!delta_to_left_.empty())
-            left.rows_suppressed = delta_to_left_[p].rows_suppressed();
-          left.bytes_received = comms_to_right_[p - 1].bytes_sent;
-          trace_->record_comms(left);
-        }
-        trace::CommsRecord& right = comms_to_right_[p];
-        if (p + 1 < procs_.size() && right.frames_sent > 0) {
-          if (!delta_to_right_.empty())
-            right.rows_suppressed = delta_to_right_[p].rows_suppressed();
-          right.bytes_received = comms_to_left_[p + 1].bytes_sent;
-          trace_->record_comms(right);
-        }
-      }
-    }
-    result.lb_messages = result.migrations;
-    result.data_messages = result_data_messages_;
-    result.control_messages = result_control_messages_;
-    result.bytes_sent += result_bytes_;
+    if (!result.converged) result.failure_reason = stop_reason();
+    result.execution_time = execution_time_;
+    if (trace_) links_.record(*trace_);
+    result.data_messages = links_.frames_sent();
+    result.control_messages = control_messages_;
+    result.bytes_sent += links_.bytes_sent() + control_bytes_;
     result.detection_gap = detection_gap_;
     result.detection_max_residual = detection_max_residual_;
     return result;
@@ -571,14 +492,10 @@ class SimEngine final : public algo::Transport,
   std::unique_ptr<algo::DetectionProtocol> protocol_;
 
   std::vector<Proc> procs_;
-  /// Byte-accounting planners per directed link (empty when delta framing
-  /// is disabled) and the per-link comms tallies they feed. The event
-  /// loop is single-threaded, so one delta scratch serves every link.
-  std::vector<ode::BoundaryDeltaSender> delta_to_left_;
-  std::vector<ode::BoundaryDeltaSender> delta_to_right_;
-  ode::BoundaryDeltaMessage delta_scratch_;
-  std::vector<trace::CommsRecord> comms_to_left_;
-  std::vector<trace::CommsRecord> comms_to_right_;
+  /// Wire-equivalent byte accounting (DESIGN.md §14): the counters and the
+  /// trace charge what a delta-capable wire would carry, while the delay
+  /// model and the delivered values stay on the full message.
+  algo::LinkMeters links_;
   std::vector<bool> lb_link_busy_;
   std::vector<std::optional<ode::MigrationPayload>> lb_link_inflight_;
   /// Earliest time each directed neighbor link is free to deliver the
@@ -592,12 +509,11 @@ class SimEngine final : public algo::Transport,
 
   bool stopped_ = false;
   bool result_converged_ = false;
-  double execution_time_ = -1.0;
+  double execution_time_ = 0.0;
   double detection_gap_ = -1.0;
   double detection_max_residual_ = -1.0;
-  std::size_t result_data_messages_ = 0;
-  std::size_t result_control_messages_ = 0;
-  std::size_t result_bytes_ = 0;
+  std::size_t control_messages_ = 0;
+  std::size_t control_bytes_ = 0;
 };
 
 }  // namespace

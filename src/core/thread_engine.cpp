@@ -1,10 +1,7 @@
 #include "core/thread_engine.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -14,9 +11,10 @@
 #include <vector>
 
 #include "algo/detection.hpp"
+#include "algo/link_meter.hpp"
 #include "algo/processor_core.hpp"
 #include "algo/runtime_ifaces.hpp"
-#include "ode/boundary_delta.hpp"
+#include "algo/trace_sink.hpp"
 #include "runtime/buffer_pool.hpp"
 #include "runtime/fault_injector.hpp"
 #include "runtime/mailbox.hpp"
@@ -37,7 +35,7 @@ using algo::Side;
 /// Per-processor runtime plumbing. All algorithm state lives in the
 /// shared algo::ProcessorCore (serialized by block_mutex); this struct
 /// only holds the channels, the notifier, lock-free mirrors of core state
-/// for cross-thread reads, and owner-thread counters.
+/// for cross-thread reads, and the chaos plan.
 struct ThreadProc {
   /// Algorithm 7: "if not accessing data array". Rank 2 + p in the
   /// engine's lock order (see runtime/ordered_mutex.hpp), so the two
@@ -48,10 +46,10 @@ struct ThreadProc {
   runtime::SlotBox<ode::BoundaryMessage> from_right{&notifier};
   runtime::Mailbox<ode::MigrationPayload> lb_from_left{&notifier};
   runtime::Mailbox<ode::MigrationPayload> lb_from_right{&notifier};
-  /// Convergence-detection deliveries (Transport::post_control): closures
-  /// drained and run in this thread's own context, under the engine's
+  /// Convergence-detection deliveries (Transport::send_control): frames
+  /// drained and handled in this thread's own context, under the engine's
   /// detection mutex.
-  runtime::Mailbox<std::function<void()>> control{&notifier};
+  runtime::Mailbox<algo::ControlFrame> control{&notifier};
 
   // Mirrors of core state, published by the owner after each iteration so
   // the leader's oracle precheck and the detection protocol can read them
@@ -59,21 +57,6 @@ struct ThreadProc {
   std::atomic<std::size_t> iteration{0};
   std::atomic<double> residual{std::numeric_limits<double>::infinity()};
   std::atomic<bool> locally_converged{false};
-
-  // Owner-thread counters (summed after join).
-  std::size_t data_messages = 0;
-  std::size_t bytes_out = 0;
-
-  // Wire-equivalent byte accounting (owner-thread only, like bytes_out):
-  // the same per-link planner the socket backend runs decides what an
-  // equivalent delta-capable link would have carried, and bytes_out is
-  // charged that size. The mailbox still delivers the full-precision
-  // message — thinning here is a metric, never an approximation.
-  ode::BoundaryDeltaSender delta_left;
-  ode::BoundaryDeltaSender delta_right;
-  ode::BoundaryDeltaMessage delta_scratch;
-  trace::CommsRecord comms_left;
-  trace::CommsRecord comms_right;
 
   // Chaos layer (null when disabled): compute stalls + LB-trigger skew.
   runtime::FaultPlan* fault_plan = nullptr;
@@ -92,71 +75,33 @@ class ThreadEngine final : public algo::Transport,
       : config_(config),
         nprocs_(processors),
         dimension_(system.dimension()),
+        links_(processors, delta_config(config)),
         trace_(trace) {
     if (processors == 0)
       throw std::invalid_argument("run_threaded: zero processors");
 
-    algo::FleetConfig fc;
-    fc.processors = processors;
-    fc.partition = config.initial_partition;
     // Threads share identical cores, so empty speeds mean uniform (the
     // speed-weighted split then degenerates to the even one); a non-empty
     // vector models a deliberately skewed deployment.
-    fc.speeds = config.processor_speeds;
-    fc.num_steps = config.num_steps;
-    fc.t_end = config.t_end;
-    fc.solve_mode = config.solve_mode;
-    fc.newton = config.newton;
-    fc.receive_filter = config.tolerance * config.receive_filter_factor;
-    fc.tolerance = config.tolerance;
-    fc.persistence = config.persistence;
-    fc.estimator = config.estimator;
-    fc.balancer = config.balancer;
-    fc.intra_chunks = config.intra_threads;
-    fleet_ = std::make_unique<algo::CoreFleet>(system, fc);
+    fleet_ = std::make_unique<algo::CoreFleet>(
+        system, fleet_config(config, processors));
 
     // Intra-processor parallelism: each processor thread gets its own
     // pool (a core's iterate runs under its block mutex, so pools are
-    // never shared and pool workers take no engine locks). The worker
-    // count is capped at the hardware share left per processor thread —
-    // nprocs * (1 + workers) <= hardware_concurrency — so enabling
-    // intra_threads can never oversubscribe the machine; when the cap
-    // leaves no room the chunks run inline with identical results.
-    if (config.intra_threads > 1) {
-      const std::size_t hw = std::max<std::size_t>(
-          1, std::thread::hardware_concurrency());
-      const std::size_t share = hw / processors;
-      const std::size_t workers =
-          std::min(config.intra_threads - 1,
-                   share > 0 ? share - 1 : std::size_t{0});
-      if (workers > 0) {
-        intra_pools_.reserve(processors);
-        for (std::size_t p = 0; p < processors; ++p) {
-          intra_pools_.push_back(
-              std::make_unique<runtime::WorkerPool>(workers));
-          fleet_->core(p).set_worker_pool(intra_pools_.back().get());
-        }
+    // never shared and pool workers take no engine locks), capped at the
+    // hardware share left per processor thread.
+    if (const std::size_t workers = intra_pool_workers(config, processors);
+        workers > 0) {
+      intra_pools_.reserve(processors);
+      for (std::size_t p = 0; p < processors; ++p) {
+        intra_pools_.push_back(std::make_unique<runtime::WorkerPool>(workers));
+        fleet_->core(p).set_worker_pool(intra_pools_.back().get());
       }
     }
 
     procs_ = std::vector<ThreadProc>(processors);
-    if (config.delta_boundaries) {
-      const ode::BoundaryDeltaSender::Config dc{
-          config.tolerance * config.delta_threshold_factor,
-          config.delta_refresh_period};
-      for (auto& proc : procs_) {
-        proc.delta_left = ode::BoundaryDeltaSender(dc);
-        proc.delta_right = ode::BoundaryDeltaSender(dc);
-      }
-    }
-    for (std::size_t p = 0; p < processors; ++p) {
-      procs_[p].comms_left.src = p;
-      procs_[p].comms_left.dst = p > 0 ? p - 1 : p;
-      procs_[p].comms_right.src = p;
-      procs_[p].comms_right.dst = p + 1 < processors ? p + 1 : p;
-    }
     // Lock-order ranks: detection mutex below every block mutex (a
-    // detection closure may broadcast the halt, which takes all block
+    // detection frame may broadcast the halt, which takes all block
     // locks), block mutexes ascending by processor.
     detection_mutex_.set_rank(1);
     for (std::size_t p = 0; p < processors; ++p)
@@ -224,33 +169,12 @@ class ThreadEngine final : public algo::Transport,
   // ---- algo::Transport ----------------------------------------------
 
   /// Owner-thread only (worker's own emit after its iteration), so the
-  /// sender-side counters need no synchronization.
+  /// sender's link meter needs no synchronization.
   void send_boundary(std::size_t src, Side toward,
                      ode::BoundaryMessage msg) override {
-    ThreadProc& sender = procs_[src];
-    const bool to_left = toward == Side::kLeft;
-    ode::BoundaryDeltaSender& planner =
-        to_left ? sender.delta_left : sender.delta_right;
-    trace::CommsRecord& comms =
-        to_left ? sender.comms_left : sender.comms_right;
     // Charge the size a delta-capable wire would carry (DESIGN.md §14);
     // the delivered message below stays full-precision regardless.
-    std::size_t wire_bytes = msg.byte_size();
-    bool full = true;
-    if (config_.delta_boundaries &&
-        planner.plan(msg, sender.delta_scratch) ==
-            ode::BoundaryDeltaSender::Plan::kDelta) {
-      wire_bytes = sender.delta_scratch.byte_size();
-      full = false;
-    }
-    sender.bytes_out += wire_bytes;
-    ++sender.data_messages;
-    ++comms.frames_sent;
-    if (full)
-      ++comms.frames_full;
-    else
-      ++comms.frames_delta;
-    comms.bytes_sent += wire_bytes;
+    links_.toward(src, toward).charge(msg);
     // "Latest data wins": an unread message this put displaces would be
     // destroyed here on the per-iteration path — recycle its rows instead.
     std::optional<ode::BoundaryMessage> displaced =
@@ -273,11 +197,11 @@ class ThreadEngine final : public algo::Transport,
 
   /// Always entered with detection_mutex_ held (every protocol entry point
   /// runs under it), which also guards the control counters.
-  void post_control(std::size_t, std::size_t dst,
-                    std::function<void()> deliver) override {
+  void send_control(std::size_t, std::size_t dst,
+                    const algo::ControlFrame& frame) override {
     ++control_messages_;
     control_bytes_ += config_.control_message_bytes;
-    procs_[dst].control.push(std::move(deliver));
+    procs_[dst].control.push(frame);
   }
 
   // ---- algo::DetectionDriver ----------------------------------------
@@ -338,7 +262,7 @@ class ThreadEngine final : public algo::Transport,
         const auto stall = proc.fault_plan->compute_stall();
         if (stall.count() > 0) std::this_thread::sleep_for(stall);
       }
-      drain_control(proc);
+      drain_control(p);
       if (halt_.load(std::memory_order_acquire)) break;
 
       ode::WaveformBlock::IterationStats stats;
@@ -420,13 +344,13 @@ class ThreadEngine final : public algo::Transport,
     }
   }
 
-  /// Runs queued detection closures in this thread's context. Must be
-  /// called without holding the caller's block lock: a closure may be the
-  /// halt decision, which takes every block lock.
-  void drain_control(ThreadProc& proc) {
-    while (auto fn = proc.control.try_pop()) {
+  /// Handles queued detection frames in processor `p`'s thread. Must be
+  /// called without holding the caller's block lock: a frame may complete
+  /// the halt decision, which takes every block lock.
+  void drain_control(std::size_t p) {
+    while (auto frame = procs_[p].control.try_pop()) {
       std::lock_guard<runtime::OrderedMutex> lock(detection_mutex_);
-      (*fn)();
+      protocol_->handle_control(p, *frame);
     }
   }
 
@@ -547,7 +471,7 @@ class ThreadEngine final : public algo::Transport,
         return halt_.load() || proc.from_left.has_value() ||
                proc.from_right.has_value() || !proc.control.empty();
       });
-      drain_control(proc);
+      drain_control(p);
       std::lock_guard<runtime::OrderedMutex> lock(proc.block_mutex);
       if (auto msg = proc.from_left.take()) {
         core.ingest_boundary(Side::kLeft, *msg);
@@ -561,15 +485,7 @@ class ThreadEngine final : public algo::Transport,
   }
 
   EngineResult assemble_result(double wall_seconds) {
-    EngineResult result;
-    result.converged = halt_.load() && !failed_.load();
-    if (failed_.load())
-      result.failure_reason = "iteration budget exhausted (" +
-                              std::to_string(
-                                  config_.max_iterations_per_processor) +
-                              " per processor)";
-    result.execution_time = wall_seconds;
-    // Drain any payload still sitting in a mailbox so the solution covers
+    // Queue any payload still sitting in a mailbox so the solution covers
     // every component (can only happen on a failure stop).
     for (std::size_t p = 0; p < nprocs_; ++p) {
       algo::ProcessorCore& core = fleet_->core(p);
@@ -577,65 +493,22 @@ class ThreadEngine final : public algo::Transport,
         core.enqueue_migration(Side::kLeft, std::move(*payload));
       while (auto payload = procs_[p].lb_from_right.try_pop())
         core.enqueue_migration(Side::kRight, std::move(*payload));
-      core.drain_pending_migrations();
     }
-    result.solution = ode::Trajectory(dimension_, config_.num_steps);
-    result.min_components_observed =
-        std::numeric_limits<std::size_t>::max();
-    for (std::size_t p = 0; p < nprocs_; ++p) {
-      const algo::ProcessorCore& core = fleet_->core(p);
-      core.block().copy_local_into(result.solution);
-      result.total_iterations += core.iteration();
-      result.iterations_per_processor.push_back(core.iteration());
-      result.final_components.push_back(core.components());
-      result.total_work += core.total_work();
-      result.migrations += core.migrations_out();
-      result.components_migrated += core.components_out();
-      result.bytes_sent += core.lb_bytes_out();
-      result.min_components_observed =
-          std::min(result.min_components_observed, core.min_components_seen());
-      if (!std::isinf(core.last_residual()))
-        result.final_max_residual =
-            std::max(result.final_max_residual, core.last_residual());
-      result.data_messages += procs_[p].data_messages;
-      result.bytes_sent += procs_[p].bytes_out;
-    }
-    if (trace_) {
-      for (std::size_t p = 0; p < nprocs_; ++p) {
-        ThreadProc& proc = procs_[p];
-        if (p > 0 && proc.comms_left.frames_sent > 0) {
-          proc.comms_left.rows_suppressed = proc.delta_left.rows_suppressed();
-          proc.comms_left.bytes_received =
-              procs_[p - 1].comms_right.bytes_sent;
-          trace_->record_comms(proc.comms_left);
-        }
-        if (p + 1 < nprocs_ && proc.comms_right.frames_sent > 0) {
-          proc.comms_right.rows_suppressed =
-              proc.delta_right.rows_suppressed();
-          proc.comms_right.bytes_received =
-              procs_[p + 1].comms_left.bytes_sent;
-          trace_->record_comms(proc.comms_right);
-        }
-      }
-    }
-    result.lb_messages = result.migrations;
+    EngineResult result =
+        fleet_result(*fleet_, dimension_, config_.num_steps);
+    result.converged = halt_.load() && !failed_.load();
+    if (failed_.load())
+      result.failure_reason = iteration_budget_reason(config_);
+    result.execution_time = wall_seconds;
+    if (trace_) links_.record(*trace_);
+    result.data_messages = links_.frames_sent();
     result.control_messages = control_messages_;
-    result.bytes_sent += control_bytes_;
+    result.bytes_sent += links_.bytes_sent() + control_bytes_;
     result.detection_gap = detection_gap_;
     result.detection_max_residual = detection_max_residual_;
     if (injector_) {
       result.faults_injected = injector_->log().total();
-      if (trace_) {
-        for (const auto& event : injector_->log().snapshot()) {
-          trace::FaultRecord record;
-          record.source = event.source;
-          record.time = event.time;
-          record.kind = runtime::to_string(event.kind);
-          record.magnitude = event.magnitude;
-          record.sequence = event.sequence;
-          trace_->record_fault(std::move(record));
-        }
-      }
+      algo::emit_fault_log(trace_, injector_->log());
     }
     return result;
   }
@@ -658,6 +531,9 @@ class ThreadEngine final : public algo::Transport,
   /// before destruction, so teardown order vs. the fleet is immaterial.
   std::vector<std::unique_ptr<runtime::WorkerPool>> intra_pools_;
   std::vector<ThreadProc> procs_;
+  /// Per-directed-link byte accounting; each worker charges only its own
+  /// outgoing links, and the totals are read after join.
+  algo::LinkMeters links_;
   std::unique_ptr<std::atomic<bool>[]> lb_link_busy_;
   std::unique_ptr<algo::DetectionProtocol> protocol_;
   std::unique_ptr<runtime::FaultInjector> injector_;
@@ -666,7 +542,7 @@ class ThreadEngine final : public algo::Transport,
   std::atomic<bool> halt_{false};
   std::atomic<bool> failed_{false};
   /// Serializes every DetectionProtocol call (iteration-end hooks and the
-  /// drained delivery closures) and guards the control counters.
+  /// drained control frames) and guards the control counters.
   runtime::OrderedMutex detection_mutex_;
   std::size_t control_messages_ = 0;
   std::size_t control_bytes_ = 0;

@@ -213,7 +213,7 @@ std::vector<std::string> default_hot_registry() {
       // Socket transport steady-state send/receive paths (PR 5).
       "SocketTransport::send_boundary",
       "SocketTransport::send_migration",
-      "SocketTransport::send_control_frame",
+      "SocketTransport::send_control",
       "SocketTransport::send_mig_ack",
       "SocketTransport::send_token_request",
       "SocketTransport::send_token_grant",

@@ -17,7 +17,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "algo/detection.hpp"
@@ -52,25 +51,6 @@ bool write_fd_all(int fd, std::span<const std::uint8_t> bytes) {
   return true;
 }
 
-algo::FleetConfig fleet_config(const core::EngineConfig& config,
-                               std::size_t processors) {
-  algo::FleetConfig fc;
-  fc.processors = processors;
-  fc.partition = config.initial_partition;
-  fc.speeds = config.processor_speeds;
-  fc.num_steps = config.num_steps;
-  fc.t_end = config.t_end;
-  fc.solve_mode = config.solve_mode;
-  fc.newton = config.newton;
-  fc.receive_filter = config.tolerance * config.receive_filter_factor;
-  fc.tolerance = config.tolerance;
-  fc.persistence = config.persistence;
-  fc.estimator = config.estimator;
-  fc.balancer = config.balancer;
-  fc.intra_chunks = config.intra_threads;
-  return fc;
-}
-
 /// The worker transport's knobs: socket policy from NetConfig plus the
 /// delta-boundary settings the EngineConfig carries (the threshold is the
 /// engine tolerance scaled by the configured factor, see DESIGN.md §14).
@@ -81,20 +61,6 @@ TransportConfig transport_config(const core::EngineConfig& config,
   tc.delta_threshold = config.tolerance * config.delta_threshold_factor;
   tc.delta_refresh_period = config.delta_refresh_period;
   return tc;
-}
-
-/// Worker-thread count for one rank's intra-iterate pool. The socket
-/// backend forks all workers on this host, so each process gets an even
-/// share of the machine: processors * (1 + workers) never exceeds
-/// hardware_concurrency. 0 (run chunks inline) when there is no room.
-std::size_t intra_pool_workers(std::size_t intra_threads,
-                               std::size_t processors) {
-  if (intra_threads <= 1) return 0;
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  const std::size_t share = processors > 0 ? hw / processors : hw;
-  return std::min(intra_threads - 1,
-                  share > 0 ? share - 1 : std::size_t{0});
 }
 
 /// Per-link migration-token state. One token exists per link, initially
@@ -124,17 +90,18 @@ class NetWorker final : public FrameSink,
         config_(config),
         net_(net),
         collect_trace_(collect_trace),
-        fleet_(system, fleet_config(config, processors)),
+        fleet_(system, core::fleet_config(config, processors)),
         core_(fleet_.core(rank)),
         transport_(rank, processors, transport_config(config, net),
                    byte_pool_, row_pool_, *this),
         t0_(Clock::now()) {
     // Attach an intra-iterate pool to this rank's core only: the other
     // fleet cores exist for partition bookkeeping and never iterate in
-    // this process.
-    const std::size_t workers =
-        intra_pool_workers(config.intra_threads, processors);
-    if (workers > 0) {
+    // this process. Every rank is forked onto this host, so all of them
+    // share its hardware threads.
+    if (const std::size_t workers =
+            core::intra_pool_workers(config, processors);
+        workers > 0) {
       intra_pool_ = std::make_unique<runtime::WorkerPool>(workers);
       core_.set_worker_pool(intra_pool_.get());
     }
@@ -210,7 +177,7 @@ class NetWorker final : public FrameSink,
       algo::ControlFrame halt;
       halt.kind = algo::ControlFrame::Kind::kHalt;
       halt.sender = rank_;
-      transport_.send_control_frame(rank_, r, halt);
+      transport_.send_control(rank_, r, halt);
     }
   }
 
@@ -377,16 +344,9 @@ class NetWorker final : public FrameSink,
 
   void drain_control() {
     static const bool debug = std::getenv("AIAC_NET_DEBUG") != nullptr;
-    auto& selfq = transport_.self_control();
-    while (!selfq.empty() || !control_inbox_.empty()) {
-      algo::ControlFrame frame;
-      if (!selfq.empty()) {
-        frame = selfq.front();
-        selfq.pop_front();
-      } else {
-        frame = control_inbox_.front();
-        control_inbox_.pop_front();
-      }
+    while (!control_inbox_.empty()) {
+      const algo::ControlFrame frame = control_inbox_.front();
+      control_inbox_.pop_front();
       if (debug && frame.kind != algo::ControlFrame::Kind::kHeartbeat)
         std::fprintf(stderr,
                      "[w%zu %.3f] ctl kind=%d sender=%zu epoch=%zu flag=%d "
@@ -414,14 +374,13 @@ class NetWorker final : public FrameSink,
         next_status = now() + 0.5;
         std::fprintf(stderr,
                      "[w%zu %.3f] status iter=%zu lconv=%d dist=%.3e "
-                     "sendq=%zu inbuf=%zu ctlq=%zu selfq=%zu quiet=%d "
-                     "idle=%d\n",
+                     "sendq=%zu inbuf=%zu ctlq=%zu quiet=%d idle=%d\n",
                      rank_, wall_since(t0_), core_.iteration(),
                      core_.locally_converged() ? 1 : 0,
                      core_.pending_input_disturbance(),
                      transport_.sendq_frames(), transport_.inbuf_bytes(),
-                     control_inbox_.size(), transport_.self_control().size(),
-                     core_.inputs_quiescent() ? 1 : 0, idle_ms);
+                     control_inbox_.size(), core_.inputs_quiescent() ? 1 : 0,
+                     idle_ms);
       }
       transport_.pump(idle_ms);
       drain_control();
@@ -480,9 +439,7 @@ class NetWorker final : public FrameSink,
       if (should_stop()) break;
 
       if (core_.iteration() >= config_.max_iterations_per_processor) {
-        fail("iteration budget exhausted (" +
-             std::to_string(config_.max_iterations_per_processor) +
-             " per processor)");
+        fail(core::iteration_budget_reason(config_));
         break;
       }
 

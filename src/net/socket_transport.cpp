@@ -232,24 +232,16 @@ void SocketTransport::send_migration(std::size_t src, algo::Side toward,
   row_pool_->release(std::move(payload.rows));
 }
 
-void SocketTransport::post_control(std::size_t, std::size_t,
-                                   std::function<void()>) {
-  throw std::logic_error(
-      "SocketTransport::post_control: the socket backend delivers control "
-      "frames, not closures");
-}
-
-void SocketTransport::send_control_frame(std::size_t src, std::size_t dst,
-                                         const algo::ControlFrame& frame) {
+void SocketTransport::send_control(std::size_t src, std::size_t dst,
+                                   const algo::ControlFrame& frame) {
   if (src != rank_)
-    throw std::logic_error(
-        "SocketTransport: send_control_frame from foreign rank");
+    throw std::logic_error("SocketTransport: send_control from foreign rank");
   ++control_messages_;
   if (dst == rank_) {
     // Self-sends (the coordinator is rank 0 talking to itself) skip the
-    // wire but keep queue semantics: delivery happens at the worker's
-    // next control drain, exactly like a remote frame.
-    self_control_.push_back(frame);
+    // wire but keep queue semantics: the sink queues the frame, and it is
+    // handled at the worker's next control drain like a remote one.
+    sink_->on_control(frame);
     return;
   }
   OutFrame out;

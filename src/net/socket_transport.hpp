@@ -3,10 +3,9 @@
 // runtime::BytePool, and the framing of wire.hpp on both directions.
 //
 // One SocketTransport lives in each worker process and implements
-// algo::Transport for that process's single local rank; detection control
-// travels as plain-data ControlFrames (delivers_control_frames), so the
-// worker runs its own DetectionProtocol instance and the closure path
-// (post_control) is never used here.
+// algo::Transport for that process's single local rank; the worker runs
+// its own DetectionProtocol instance, whose ControlFrames go on the wire
+// (or, addressed to the local rank, straight to the sink).
 //
 // The send path is zero-copy scatter-gather: every queued frame is a
 // runtime::ScatterFrame — the 16-byte header block next to a pooled
@@ -31,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -145,16 +143,11 @@ class SocketTransport final : public algo::Transport {
   void send_migration(std::size_t src, algo::Side toward,
                       ode::MigrationPayload payload) override;
 
-  /// Never used on this backend — detection runs distributed (see
-  /// delivers_control_frames); a call means a driver wiring bug.
-  void post_control(std::size_t src, std::size_t dst,
-                    std::function<void()> deliver) override;
-
-  bool delivers_control_frames() const override { return true; }
-  /// Self-addressed frames (the coordinator reporting to itself) go to an
-  /// in-process queue the worker drains like remote control traffic.
-  void send_control_frame(std::size_t src, std::size_t dst,
-                          const algo::ControlFrame& frame) override;
+  /// Self-addressed frames (the coordinator reporting to itself) skip the
+  /// wire and go straight to the sink's on_control, so the worker drains
+  /// them with remote control traffic from one queue.
+  void send_control(std::size_t src, std::size_t dst,
+                    const algo::ControlFrame& frame) override;
 
   // ---- Link/session frames -------------------------------------------
 
@@ -164,12 +157,6 @@ class SocketTransport final : public algo::Transport {
   /// Tells every still-open peer no further frames follow; `failed` lets
   /// receivers distinguish an aborting peer from an orderly halt.
   void send_goodbye_all(bool failed);
-
-  /// Control frames addressed to the local rank (self-sends and decoded
-  /// remote ones both land here via the sink; see the worker's drain).
-  std::deque<algo::ControlFrame>& self_control() noexcept {
-    return self_control_;
-  }
 
   // ---- The event loop step -------------------------------------------
 
@@ -276,7 +263,6 @@ class SocketTransport final : public algo::Transport {
   /// Per-link delta planners (indexed by rank; only neighbor entries are
   /// ever exercised).
   std::vector<ode::BoundaryDeltaSender> delta_senders_;
-  std::deque<algo::ControlFrame> self_control_;
   // Decode/plan scratch, reused across frames so the send and receive
   // paths stop allocating once warm. Separate send/receive delta scratch:
   // a sink callback may trigger sends while a received delta is still

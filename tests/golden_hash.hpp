@@ -1,10 +1,12 @@
-// Bitwise fingerprint of an engine run for the golden-trajectory suites:
-// the solution's raw bytes, virtual execution time, total work, iteration
-// counts and migrations, folded into one 64-bit FNV-1a hash.
+// Bitwise fingerprints for the golden suites: an engine run's solution
+// bytes, virtual execution time, total work, iteration counts and
+// migrations (optionally its message counters too), folded into one
+// 64-bit FNV-1a hash.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 
 #include "core/sim_engine.hpp"
 
@@ -30,8 +32,7 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-inline std::uint64_t result_hash(const core::EngineResult& result) {
-  Fnv1a hash;
+inline void add_result(Fnv1a& hash, const core::EngineResult& result) {
   const std::span<const double> solution = result.solution.raw();
   hash.add_bytes(solution.data(), solution.size_bytes());
   hash.add(result.execution_time);
@@ -39,6 +40,29 @@ inline std::uint64_t result_hash(const core::EngineResult& result) {
   hash.add(result.total_iterations);
   for (const std::size_t it : result.iterations_per_processor) hash.add(it);
   hash.add(result.migrations);
+}
+
+inline std::uint64_t result_hash(const core::EngineResult& result) {
+  Fnv1a hash;
+  add_result(hash, result);
+  return hash.value();
+}
+
+/// result_hash plus the message and byte counters, for goldens that pin
+/// the control traffic of the message-based detection protocols.
+inline std::uint64_t traffic_hash(const core::EngineResult& result) {
+  Fnv1a hash;
+  add_result(hash, result);
+  hash.add(result.control_messages);
+  hash.add(result.data_messages);
+  hash.add(result.bytes_sent);
+  return hash.value();
+}
+
+/// FNV-1a of a string's bytes (serialized checker schedules).
+inline std::uint64_t text_hash(std::string_view text) {
+  Fnv1a hash;
+  hash.add_bytes(text.data(), text.size());
   return hash.value();
 }
 

@@ -7,7 +7,11 @@
 // fixed-bandwidth kernels and the branch-free Jacobian assembly must
 // reproduce them bit for bit — solution, virtual execution time, total
 // work and iteration counts — since the virtual clock and every
-// balancing decision derive from them.
+// balancing decision derive from them. The coordinator and token-ring
+// cases pin the detection control path the same way: their hashes were
+// recorded while control messages still travelled as closures, and the
+// plain-data ControlFrame delivery must reproduce them, message counts
+// included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -52,8 +56,10 @@ std::unique_ptr<grid::Grid> make_platform(Platform platform) {
   return grid::make_homogeneous_cluster(params);
 }
 
-std::uint64_t run_hash(Platform platform, bool load_balancing,
-                       std::size_t intra) {
+core::EngineResult run(Platform platform, bool load_balancing,
+                       std::size_t intra,
+                       core::DetectionMode detection =
+                           core::DetectionMode::kOracle) {
   ode::Brusselator::Params params;
   params.grid_points = 32;
   const ode::Brusselator system(params);
@@ -71,12 +77,29 @@ std::uint64_t run_hash(Platform platform, bool load_balancing,
   config.balancer.migration_fraction = 1.0;
   config.balancer.max_fraction_per_migration = 0.5;
   config.balancer.min_components = 3;
+  config.detection = detection;
 
   const auto grid = make_platform(platform);
   const core::EngineResult result =
       core::run_simulated(system, *grid, config);
   EXPECT_TRUE(result.converged) << result.failure_reason;
-  return golden::result_hash(result);
+  return result;
+}
+
+std::uint64_t run_hash(Platform platform, bool load_balancing,
+                       std::size_t intra) {
+  return golden::result_hash(run(platform, load_balancing, intra));
+}
+
+// The message-based detection protocols: every control message is a
+// scheduled delivery with a grid latency, so these also pin the control,
+// data and byte counters.
+std::uint64_t detection_hash(core::DetectionMode detection,
+                             bool load_balancing) {
+  const core::EngineResult result =
+      run(Platform::kFig5Cluster, load_balancing, 1, detection);
+  EXPECT_GT(result.control_messages, 0u);
+  return golden::traffic_hash(result);
 }
 
 // Block mode is a chunk-level block-Jacobi, so the chunk count is a
@@ -107,6 +130,20 @@ TEST(BlockGolden, Grid16WithBalancing) {
             0x67d97d8a5315a673ULL);
   EXPECT_EQ(run_hash(Platform::kGrid16, true, 2),
             0x4ae56082cd58b0b5ULL);
+}
+
+TEST(BlockGolden, Fig5ClusterCoordinatorDetection) {
+  EXPECT_EQ(detection_hash(core::DetectionMode::kCoordinator, false),
+            0x425e7c9eb3379bd7ULL);
+  EXPECT_EQ(detection_hash(core::DetectionMode::kCoordinator, true),
+            0xd053a213043f830dULL);
+}
+
+TEST(BlockGolden, Fig5ClusterTokenRingDetection) {
+  EXPECT_EQ(detection_hash(core::DetectionMode::kTokenRing, false),
+            0xf058ac247807a353ULL);
+  EXPECT_EQ(detection_hash(core::DetectionMode::kTokenRing, true),
+            0x7cc3eb31f2987f38ULL);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "check/invariants.hpp"
 #include "check/model.hpp"
 #include "check/schedule.hpp"
+#include "golden_hash.hpp"
 
 namespace {
 
@@ -251,6 +252,11 @@ TEST(ModelCheckFindings, CoordinatorPrematureHaltIsExposed) {
   ASSERT_TRUE(report.first_failure.has_value());
   EXPECT_EQ(report.first_failure->violations.front().invariant,
             "detection-safety");
+  // Search fingerprint, recorded while control messages were closures:
+  // the plain-data control queue must explore the same schedules.
+  EXPECT_EQ(report.schedules_explored, 1u);
+  EXPECT_EQ(golden::text_hash(report.first_failure->schedule.serialize()),
+            0xf359b47c1ac13713ULL);
 }
 
 TEST(ModelCheckFindings, TokenRingPrematureHaltIsExposed) {
@@ -264,6 +270,28 @@ TEST(ModelCheckFindings, TokenRingPrematureHaltIsExposed) {
   ASSERT_TRUE(report.first_failure.has_value());
   EXPECT_EQ(report.first_failure->violations.front().invariant,
             "detection-safety");
+  EXPECT_EQ(report.schedules_explored, 14u);
+  EXPECT_EQ(golden::text_hash(report.first_failure->schedule.serialize()),
+            0x0a1508f9fd8ffbadULL);
+}
+
+// The exhaustive trees above run oracle detection, which sends no control
+// messages; this one enumerates every interleaving of coordinator control
+// deliveries too. Its counts were recorded with the closure-based control
+// queue and pin the explored state space across the switch to frames.
+TEST(ModelCheckFindings, CoordinatorExhaustiveTreeIsPinned) {
+  ModelConfig config;
+  config.detection = algo::DetectionMode::kCoordinator;
+  // Horizon 3 enumerates fully in ~1.3 s (Release, 4-vCPU VM); at
+  // horizon 4 the tree exceeds a million schedules.
+  config.max_iterations = 3;
+  ExploreOptions options;
+  options.max_schedules = 1000000;
+  const ExploreReport report =
+      check::explore_exhaustive(config, InvariantSuite::standard(), options);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.schedules_explored, 138580u);
+  EXPECT_EQ(report.schedules_with_violations, 0u);
 }
 
 // ---- Model basics -------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "core/sim_engine.hpp"
 #include "grid/grid.hpp"
@@ -292,6 +293,22 @@ TEST(SimEngine, HitsIterationGuardWithoutConvergence) {
   const auto result = core::run_simulated(system, *cluster, config);
   EXPECT_FALSE(result.converged);
   EXPECT_LE(result.iterations_per_processor[0], 21u);
+  // The same text the threaded and socket drivers report.
+  EXPECT_EQ(result.failure_reason, core::iteration_budget_reason(config));
+}
+
+TEST(SimEngine, VirtualTimeLimitNamesTheStop) {
+  const auto system = test_system();
+  auto cluster = dedicated_cluster(3);
+  auto config = base_config();
+  config.tolerance = -1.0;  // never converges; the time limit must stop it
+  config.max_virtual_time = 1e-3;
+  const auto result = core::run_simulated(system, *cluster, config);
+  EXPECT_FALSE(result.converged);
+  EXPECT_FALSE(result.failure_reason.empty());
+  EXPECT_NE(result.failure_reason.find("virtual-time limit"),
+            std::string::npos)
+      << result.failure_reason;
 }
 
 class SchemeMatrix
