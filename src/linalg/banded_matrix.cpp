@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 namespace aiac::linalg {
 
@@ -54,13 +53,6 @@ void BandedMatrix::multiply(std::span<const double> x,
     for (std::size_t c = c_lo; c <= c_hi; ++c) sum += data_[offset(r, c)] * x[c];
     y[r] = sum;
   }
-}
-
-std::vector<double> BandedMatrix::to_dense() const {
-  std::vector<double> dense(n_ * n_, 0.0);
-  for (std::size_t r = 0; r < n_; ++r)
-    for (std::size_t c = 0; c < n_; ++c) dense[r * n_ + c] = at(r, c);
-  return dense;
 }
 
 namespace {
@@ -219,15 +211,6 @@ void banded_lu_solve_in_place(const BandedMatrix& lu, std::span<double> b) {
     for (std::size_t j = ii + 1; j <= j_hi; ++j) sum -= row[j + kl - ii] * b[j];
     b[ii] = sum / row[kl];
   }
-}
-
-BandedLu::BandedLu(BandedMatrix a, double pivot_tolerance)
-    : lu_(std::move(a)) {
-  banded_lu_factor_in_place(lu_, pivot_tolerance);
-}
-
-void BandedLu::solve(std::span<double> b) const {
-  banded_lu_solve_in_place(lu_, b);
 }
 
 void solve_tridiagonal(std::span<const double> lower,

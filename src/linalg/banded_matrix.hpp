@@ -55,9 +55,6 @@ class BandedMatrix {
   /// y = A x.
   void multiply(std::span<const double> x, std::span<double> y) const;
 
-  /// Densifies (tests / debugging).
-  std::vector<double> to_dense() const;
-
  private:
   std::size_t offset(std::size_t r, std::size_t c) const noexcept {
     // Row-wise band storage: row r occupies a stride of (kl_+ku_+1) slots,
@@ -85,24 +82,6 @@ void banded_lu_factor_in_place(BandedMatrix& a,
 /// Solves (L U) x = b in place given a matrix factored by
 /// banded_lu_factor_in_place. Allocation-free.
 void banded_lu_solve_in_place(const BandedMatrix& lu, std::span<double> b);
-
-/// LU factorization of a banded matrix *without pivoting* — the owning
-/// convenience wrapper over banded_lu_factor_in_place /
-/// banded_lu_solve_in_place; see those for the validity domain. Callers on
-/// the solver hot path use the in-place functions with a reused workspace
-/// matrix instead of constructing one of these per solve.
-class BandedLu {
- public:
-  explicit BandedLu(BandedMatrix a, double pivot_tolerance = 1e-14);
-
-  std::size_t size() const noexcept { return lu_.size(); }
-
-  /// Solves A x = b in place.
-  void solve(std::span<double> b) const;
-
- private:
-  BandedMatrix lu_;
-};
 
 /// Thomas algorithm for tridiagonal systems; O(n). `lower`, `diag`,
 /// `upper` are the three diagonals (lower[0] and upper[n-1] unused).

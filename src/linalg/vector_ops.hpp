@@ -1,6 +1,6 @@
-// Free functions on contiguous double sequences. Used pervasively by the
-// ODE solvers (Newton updates, residual norms) and the iterative linear
-// solvers. All take std::span so they work on vectors and sub-blocks alike.
+// Free functions on contiguous double sequences (norms, dot, axpy, grids).
+// The engines inline their own loops on hot paths; these are the reference
+// forms. All take std::span so they work on vectors and sub-blocks alike.
 #pragma once
 
 #include <span>

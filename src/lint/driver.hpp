@@ -1,6 +1,6 @@
-// aiac_lint's driver: collects the translation units to scan (from an
-// explicit file list, a compile_commands.json, or a source-tree walk),
-// runs the enabled checks, applies the allowlist, and formats the report.
+// aiac_lint's driver: collects the files to scan (an explicit file list
+// or a source-tree walk), runs the enabled checks, applies the allowlist,
+// and formats the report.
 #pragma once
 
 #include <cstddef>
@@ -15,11 +15,8 @@ namespace aiac::lint {
 struct LintConfig {
   /// Repository root; file paths in findings are reported relative to it.
   std::string root = ".";
-  /// Explicit files (fixture mode). When empty, files come from
-  /// `compile_commands` (if set) plus a header walk, or a full walk.
+  /// Explicit files (fixture mode). When empty, the tree is walked.
   std::vector<std::string> files;
-  /// Build directory holding compile_commands.json ("" = walk the tree).
-  std::string compile_commands_dir;
   /// Checks to run; empty = all of {"alloc", "lock", "wire"}.
   std::vector<std::string> checks;
   /// Extra hot entry points (fixtures use these with `use_default_registry
@@ -37,22 +34,11 @@ struct LintReport {
   std::vector<std::string> warnings;   // stale allows, parse errors, ...
   std::size_t files_scanned = 0;
   std::size_t suppressed = 0;          // findings the allowlist absorbed
-  std::string backend;                 // "libclang" or "token"
 };
 
 /// Runs the configured checks. Returns false only on configuration
 /// errors (unreadable root, malformed allowlist) — findings do not make
 /// run() fail; callers inspect the report.
 bool run_lint(const LintConfig& config, LintReport& report);
-
-/// Extracts the "file" entries from a compile_commands.json. The parser
-/// accepts exactly the JSON CMake emits; on malformed input it returns
-/// what it parsed. Paths come back absolute.
-std::vector<std::string> compile_commands_files(const std::string& path);
-
-/// Whether this build of the linter can use libclang for the alloc
-/// check's call graph (AIAC_HAVE_LIBCLANG); the token backend is always
-/// available and covers every check.
-bool libclang_available();
 
 }  // namespace aiac::lint

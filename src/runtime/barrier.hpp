@@ -1,7 +1,7 @@
-// A reusable (cyclic) thread barrier. Used by the SISC thread backend's
-// optional global synchronization and by tests. std::barrier exists in
-// C++20 but a phase-counting implementation keeps the semantics explicit
-// and allows querying the phase.
+// A reusable (cyclic) thread barrier; no engine uses it (SISC threads wait
+// for neighbour data instead). std::barrier exists in C++20 but a
+// phase-counting implementation keeps the semantics explicit and allows
+// querying the phase.
 #pragma once
 
 #include <condition_variable>

@@ -27,12 +27,17 @@ void CliParser::parse(int argc, const char* const* argv) {
     }
     arg.erase(0, 2);
     const auto eq = arg.find('=');
+    const std::string key = arg.substr(0, eq);
+    if (std::none_of(descriptions_.begin(), descriptions_.end(),
+                     [&](const Description& d) { return d.key == key; }))
+      throw std::invalid_argument("unknown option --" + key +
+                                  " (see --help)");
     if (eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      values_[key] = arg.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[arg] = argv[++i];
+      values_[key] = argv[++i];
     } else {
-      values_[arg] = "true";
+      values_[key] = "true";
     }
   }
 }

@@ -16,13 +16,13 @@ class CliParser {
   /// `program_summary` is printed at the top of --help.
   CliParser(std::string program_summary = {});
 
-  /// Declares an option for the help text. Declaration is optional: any
-  /// --key passed on the command line is accepted either way.
+  /// Declares an option (and its --help line). Only declared keys are
+  /// accepted by parse(), so every describe() must precede it.
   void describe(const std::string& key, const std::string& help,
                 const std::string& default_repr = {});
 
-  /// Parses argv. Throws std::invalid_argument on malformed input
-  /// (e.g. a non-flag positional argument).
+  /// Parses argv. Throws std::invalid_argument on malformed input: a
+  /// positional argument, or a --key that no describe() call declared.
   void parse(int argc, const char* const* argv);
 
   bool has(const std::string& key) const;

@@ -9,10 +9,10 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "algo/partitioner.hpp"
 #include "core/sim_engine.hpp"
 #include "core/thread_engine.hpp"
 #include "grid/grid.hpp"
-#include "lb/iterative_schemes.hpp"
 #include "ode/brusselator.hpp"
 
 namespace {
@@ -181,9 +181,13 @@ TEST(EnginePartitionParity, ThreadedHonorsSpeedWeightedPartition) {
   config.initial_partition = InitialPartition::kSpeedWeighted;
   config.processor_speeds = {1.0, 2.0, 3.0};
 
-  const auto starts = lb::speed_weighted_partition(
-      system.dimension(), config.processor_speeds,
-      system.stencil_halfwidth() + 1);
+  algo::PartitionSpec spec;
+  spec.mode = InitialPartition::kSpeedWeighted;
+  spec.dimension = system.dimension();
+  spec.processors = kProcessors;
+  spec.speeds = config.processor_speeds;
+  spec.min_per_part = system.stencil_halfwidth() + 1;
+  const auto starts = algo::build_partition(spec);
   std::vector<std::size_t> expected;
   for (std::size_t p = 0; p < kProcessors; ++p)
     expected.push_back(starts[p + 1] - starts[p]);

@@ -260,6 +260,7 @@ TEST(FaultInjection, ChaosCliRoundTrip) {
   EXPECT_DOUBLE_EQ(config.intensity, 2.5);
 
   util::CliParser off("test");
+  runtime::describe_chaos_cli(off);
   const char* argv_off[] = {"prog"};
   off.parse(1, argv_off);
   EXPECT_FALSE(runtime::fault_config_from_cli(off).enabled);

@@ -1,14 +1,9 @@
-// Unit and property tests for the load-balancing module: estimators, the
-// Bertsekas-Tsitsiklis neighbor balancer, the classical synchronous
-// schemes (diffusion, dimension exchange), and static partitioning.
+// Unit and property tests for the load-balancing module: estimators and
+// the Bertsekas-Tsitsiklis neighbor balancer.
 #include <gtest/gtest.h>
-
-#include <numeric>
 
 #include "lb/balancer.hpp"
 #include "lb/estimators.hpp"
-#include "lb/iterative_schemes.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -146,110 +141,6 @@ TEST(NeighborBalancer, RejectsBadConfig) {
   c = {};
   c.trigger_period = 0;
   EXPECT_THROW(NeighborBalancer{c}, std::invalid_argument);
-}
-
-TEST(ProcessorGraph, ChainRingHypercubeShapes) {
-  const auto chain = ProcessorGraph::chain(5);
-  EXPECT_EQ(chain.neighbors(0).size(), 1u);
-  EXPECT_EQ(chain.neighbors(2).size(), 2u);
-  EXPECT_TRUE(chain.connected());
-
-  const auto ring = ProcessorGraph::ring(6);
-  for (std::size_t i = 0; i < 6; ++i)
-    EXPECT_EQ(ring.neighbors(i).size(), 2u);
-
-  const auto cube = ProcessorGraph::hypercube(3);
-  EXPECT_EQ(cube.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i)
-    EXPECT_EQ(cube.neighbors(i).size(), 3u);
-  EXPECT_TRUE(cube.connected());
-}
-
-TEST(Diffusion, ConservesTotalLoad) {
-  const auto graph = ProcessorGraph::chain(6);
-  std::vector<double> loads = {60, 0, 0, 0, 0, 0};
-  const double total =
-      std::accumulate(loads.begin(), loads.end(), 0.0);
-  const auto next = diffusion_step(graph, loads, 0.3);
-  EXPECT_NEAR(std::accumulate(next.begin(), next.end(), 0.0), total, 1e-9);
-}
-
-TEST(Diffusion, RejectsUnstableAlpha) {
-  const auto graph = ProcessorGraph::chain(4);
-  std::vector<double> loads = {4, 0, 0, 0};
-  EXPECT_THROW(diffusion_step(graph, loads, 0.9), std::invalid_argument);
-  EXPECT_THROW(diffusion_step(graph, loads, 0.0), std::invalid_argument);
-}
-
-TEST(DimensionExchange, PairAveragesOnHypercube) {
-  const auto cube = ProcessorGraph::hypercube(2);  // 4 nodes, square
-  std::vector<double> loads = {8, 0, 0, 0};
-  auto next = dimension_exchange_step(cube, loads, 0);
-  EXPECT_NEAR(std::accumulate(next.begin(), next.end(), 0.0), 8.0, 1e-12);
-  // Someone received half of node 0's load.
-  EXPECT_NEAR(next[0], 4.0, 1e-12);
-}
-
-class BalanceConvergence
-    : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
-
-TEST_P(BalanceConvergence, DiffusionReachesUniformOnChains) {
-  const auto [nodes, seed] = GetParam();
-  const auto graph = ProcessorGraph::chain(nodes);
-  aiac::util::Rng rng(static_cast<std::uint64_t>(seed));
-  std::vector<double> loads(nodes);
-  for (auto& l : loads) l = rng.uniform(0.0, 100.0);
-  const double total = std::accumulate(loads.begin(), loads.end(), 0.0);
-
-  const auto result = run_diffusion(graph, loads, 0.25, 1e-6, 200000);
-  EXPECT_TRUE(result.converged) << nodes << " nodes";
-  const double uniform = total / static_cast<double>(nodes);
-  for (double l : result.loads) EXPECT_NEAR(l, uniform, 1e-5);
-}
-
-TEST_P(BalanceConvergence, DimensionExchangeReachesUniformOnHypercubes) {
-  const auto [log_nodes_raw, seed] = GetParam();
-  const std::size_t log_nodes = 1 + log_nodes_raw % 4;
-  const auto graph = ProcessorGraph::hypercube(log_nodes);
-  aiac::util::Rng rng(static_cast<std::uint64_t>(seed) + 7);
-  std::vector<double> loads(graph.size());
-  for (auto& l : loads) l = rng.uniform(0.0, 100.0);
-  const double total = std::accumulate(loads.begin(), loads.end(), 0.0);
-
-  const auto result =
-      run_dimension_exchange(graph, loads, log_nodes, 1e-9, 10000);
-  EXPECT_TRUE(result.converged);
-  const double uniform = total / static_cast<double>(graph.size());
-  for (double l : result.loads) EXPECT_NEAR(l, uniform, 1e-7);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, BalanceConvergence,
-    ::testing::Combine(::testing::Values(2, 3, 5, 9, 16),
-                       ::testing::Values(1, 2, 3)));
-
-TEST(SpeedWeightedPartition, ProportionalSizes) {
-  const auto starts = speed_weighted_partition(100, {1.0, 3.0}, 1);
-  ASSERT_EQ(starts.size(), 3u);
-  EXPECT_EQ(starts[0], 0u);
-  EXPECT_EQ(starts[2], 100u);
-  EXPECT_NEAR(static_cast<double>(starts[1]), 25.0, 1.0);
-}
-
-TEST(SpeedWeightedPartition, RespectsMinimumAndTotal) {
-  const auto starts = speed_weighted_partition(20, {100.0, 1.0, 1.0}, 4);
-  ASSERT_EQ(starts.size(), 4u);
-  EXPECT_EQ(starts[3], 20u);
-  for (std::size_t p = 0; p < 3; ++p)
-    EXPECT_GE(starts[p + 1] - starts[p], 4u);
-}
-
-TEST(SpeedWeightedPartition, RejectsImpossibleRequests) {
-  EXPECT_THROW(speed_weighted_partition(5, {1.0, 1.0, 1.0}, 2),
-               std::invalid_argument);
-  EXPECT_THROW(speed_weighted_partition(10, {1.0, -1.0}, 1),
-               std::invalid_argument);
-  EXPECT_THROW(speed_weighted_partition(10, {}, 1), std::invalid_argument);
 }
 
 }  // namespace

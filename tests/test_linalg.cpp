@@ -1,5 +1,5 @@
-// Tests for the linear algebra substrate: vector ops, dense/banded LU,
-// tridiagonal solver, CSR, and the stationary iterative solvers.
+// Tests for the linear algebra substrate: vector ops, banded storage, the
+// in-place banded LU and the tridiagonal solver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,9 +12,6 @@
 #include <vector>
 
 #include "linalg/banded_matrix.hpp"
-#include "linalg/csr_matrix.hpp"
-#include "linalg/dense_matrix.hpp"
-#include "linalg/stationary.hpp"
 #include "linalg/vector_ops.hpp"
 #include "util/rng.hpp"
 
@@ -48,48 +45,6 @@ TEST(VectorOps, Linspace) {
   EXPECT_DOUBLE_EQ(g[2], 0.5);
 }
 
-TEST(DenseLuTest, SolvesRandomSystems) {
-  aiac::util::Rng rng(11);
-  for (int trial = 0; trial < 5; ++trial) {
-    const std::size_t n = 6;
-    DenseMatrix a(n, n);
-    std::vector<double> x_true(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      x_true[i] = rng.uniform(-2, 2);
-      for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-1, 1);
-      a(i, i) += 4.0;  // make it comfortably nonsingular
-    }
-    std::vector<double> b(n);
-    a.multiply(x_true, b);
-    DenseLu lu(a);
-    lu.solve(b);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(b[i], x_true[i], 1e-10);
-  }
-}
-
-TEST(DenseLuTest, PivotingHandlesZeroDiagonal) {
-  DenseMatrix a(2, 2);
-  a(0, 0) = 0.0;
-  a(0, 1) = 1.0;
-  a(1, 0) = 1.0;
-  a(1, 1) = 0.0;
-  DenseLu lu(a);
-  std::vector<double> b = {2.0, 3.0};
-  lu.solve(b);  // x = (3, 2)
-  EXPECT_DOUBLE_EQ(b[0], 3.0);
-  EXPECT_DOUBLE_EQ(b[1], 2.0);
-  EXPECT_DOUBLE_EQ(lu.determinant(), -1.0);
-}
-
-TEST(DenseLuTest, ThrowsOnSingular) {
-  DenseMatrix a(2, 2);
-  a(0, 0) = 1.0;
-  a(0, 1) = 2.0;
-  a(1, 0) = 2.0;
-  a(1, 1) = 4.0;
-  EXPECT_THROW(DenseLu{a}, std::runtime_error);
-}
-
 TEST(BandedMatrixTest, BandAccessRules) {
   BandedMatrix m(5, 1, 2);
   EXPECT_TRUE(m.in_band(2, 1));
@@ -106,21 +61,17 @@ TEST(BandedLuTest, MatchesDenseOnRandomBandedSystems) {
   aiac::util::Rng rng(13);
   const std::size_t n = 12, kl = 2, ku = 2;
   BandedMatrix banded(n, kl, ku);
-  DenseMatrix dense(n, n);
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c)
-      if (banded.in_band(r, c)) {
-        const double v = r == c ? rng.uniform(4, 6) : rng.uniform(-1, 1);
-        banded.ref(r, c) = v;
-        dense(r, c) = v;
-      }
+      if (banded.in_band(r, c))
+        banded.ref(r, c) = r == c ? rng.uniform(4, 6) : rng.uniform(-1, 1);
   std::vector<double> x_true(n);
   for (auto& x : x_true) x = rng.uniform(-1, 1);
   std::vector<double> b(n);
-  dense.multiply(x_true, b);
+  banded.multiply(x_true, b);
 
-  BandedLu lu(banded);
-  lu.solve(b);
+  banded_lu_factor_in_place(banded);
+  banded_lu_solve_in_place(banded, b);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(b[i], x_true[i], 1e-10);
 }
 
@@ -128,7 +79,7 @@ TEST(BandedLuTest, ThrowsOnTinyPivot) {
   BandedMatrix m(2, 0, 0);  // diagonal matrix with a zero pivot
   m.ref(0, 0) = 1.0;
   m.ref(1, 1) = 0.0;
-  EXPECT_THROW(BandedLu{m}, std::runtime_error);
+  EXPECT_THROW(banded_lu_factor_in_place(m), std::runtime_error);
 }
 
 // Reference copies of the generic (runtime-bandwidth) banded factor and
@@ -279,97 +230,9 @@ TEST(Tridiagonal, MatchesBandedSolver) {
     if (i > 0) m.ref(i, i - 1) = -1.0;
     if (i + 1 < n) m.ref(i, i + 1) = -1.0;
   }
-  BandedLu lu(m);
-  lu.solve(rhs2);
+  banded_lu_factor_in_place(m);
+  banded_lu_solve_in_place(m, rhs2);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(rhs[i], rhs2[i], 1e-12);
-}
-
-TEST(CsrMatrixTest, TripletsSumDuplicatesAndSort) {
-  auto m = CsrMatrix::from_triplets(2, 2, {{0, 1, 1.0},
-                                           {0, 0, 2.0},
-                                           {0, 1, 0.5},
-                                           {1, 1, 3.0}});
-  EXPECT_EQ(m.nonzeros(), 3u);
-  EXPECT_DOUBLE_EQ(m.at(0, 1), 1.5);
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(m.at(1, 0), 0.0);
-}
-
-TEST(CsrMatrixTest, Laplacian1dStructure) {
-  const auto lap = CsrMatrix::laplacian_1d(5);
-  EXPECT_TRUE(lap.strictly_diagonally_dominant() == false);  // weak at rows
-  EXPECT_DOUBLE_EQ(lap.at(2, 2), 2.0);
-  EXPECT_DOUBLE_EQ(lap.at(2, 1), -1.0);
-  std::vector<double> ones(5, 1.0), y(5);
-  lap.multiply(ones, y);
-  EXPECT_DOUBLE_EQ(y[0], 1.0);  // boundary rows
-  EXPECT_DOUBLE_EQ(y[2], 0.0);  // interior rows annihilate constants
-}
-
-TEST(CsrMatrixTest, Laplacian2dRowSums) {
-  const auto lap = CsrMatrix::laplacian_2d(4, 3);
-  EXPECT_EQ(lap.rows(), 12u);
-  // Interior point has 4 neighbors.
-  EXPECT_DOUBLE_EQ(lap.at(5, 5), 4.0);
-  EXPECT_DOUBLE_EQ(lap.at(5, 4), -1.0);
-  EXPECT_DOUBLE_EQ(lap.at(5, 9), -1.0);
-}
-
-TEST(Stationary, JacobiAndGaussSeidelSolveDominantSystem) {
-  // Strictly dominant variant of the 1D Laplacian.
-  const auto a = CsrMatrix::laplacian_1d(30, 2.5, -1.0);
-  ASSERT_TRUE(a.strictly_diagonally_dominant());
-  std::vector<double> x_true(30);
-  aiac::util::Rng rng(19);
-  for (auto& x : x_true) x = rng.uniform(-1, 1);
-  std::vector<double> b(30);
-  a.multiply(x_true, b);
-  std::vector<double> x0(30, 0.0);
-
-  const auto jacobi_result = jacobi(a, b, x0);
-  ASSERT_TRUE(jacobi_result.converged);
-  const auto gs_result = gauss_seidel(a, b, x0);
-  ASSERT_TRUE(gs_result.converged);
-  // Gauss-Seidel converges faster than Jacobi (paper §1.1).
-  EXPECT_LT(gs_result.iterations, jacobi_result.iterations);
-  for (std::size_t i = 0; i < 30; ++i) {
-    EXPECT_NEAR(jacobi_result.x[i], x_true[i], 1e-8);
-    EXPECT_NEAR(gs_result.x[i], x_true[i], 1e-8);
-  }
-}
-
-TEST(Stationary, SorWithGoodOmegaBeatsGaussSeidel) {
-  const auto a = CsrMatrix::laplacian_1d(40);
-  std::vector<double> b(40, 1.0);
-  std::vector<double> x0(40, 0.0);
-  IterativeOptions opts;
-  opts.tolerance = 1e-8;
-  opts.max_iterations = 100000;
-  const auto gs = gauss_seidel(a, b, x0, opts);
-  IterativeOptions sor_opts = opts;
-  sor_opts.relaxation = 1.8;
-  const auto sr = sor(a, b, x0, sor_opts);
-  ASSERT_TRUE(gs.converged);
-  ASSERT_TRUE(sr.converged);
-  EXPECT_LT(sr.iterations, gs.iterations);
-}
-
-TEST(Stationary, SorRejectsBadRelaxation) {
-  const auto a = CsrMatrix::laplacian_1d(4);
-  std::vector<double> b(4, 1.0), x0(4, 0.0);
-  IterativeOptions opts;
-  opts.relaxation = 2.5;
-  EXPECT_THROW(sor(a, b, x0, opts), std::invalid_argument);
-}
-
-TEST(Stationary, SpectralRadiusEstimateForLaplacian) {
-  // Jacobi iteration matrix of tridiag(-1, 2, -1) has spectral radius
-  // cos(pi/(n+1)).
-  const std::size_t n = 20;
-  const auto a = CsrMatrix::laplacian_1d(n);
-  const double estimate = jacobi_spectral_radius_estimate(a, 2000);
-  const double exact = std::cos(M_PI / static_cast<double>(n + 1));
-  EXPECT_NEAR(estimate, exact, 1e-3);
 }
 
 }  // namespace

@@ -93,4 +93,36 @@ TEST(Partitioner, EveryPartMeetsTheFloorUnderSkewedSpeeds) {
   }
 }
 
+// The speed-weighted apportionment itself (largest remainder with a
+// per-part floor), driven through the public builder.
+TEST(SpeedWeightedPartition, ProportionalSizes) {
+  const auto starts = build_partition(
+      spec(InitialPartition::kSpeedWeighted, 100, 2, {1.0, 3.0}, 1));
+  ASSERT_EQ(starts.size(), 3u);
+  EXPECT_EQ(starts[0], 0u);
+  EXPECT_EQ(starts[2], 100u);
+  EXPECT_NEAR(static_cast<double>(starts[1]), 25.0, 1.0);
+}
+
+TEST(SpeedWeightedPartition, RespectsMinimumAndTotal) {
+  const auto starts = build_partition(
+      spec(InitialPartition::kSpeedWeighted, 20, 3, {100.0, 1.0, 1.0}, 4));
+  ASSERT_EQ(starts.size(), 4u);
+  EXPECT_EQ(starts[3], 20u);
+  for (std::size_t p = 0; p < 3; ++p)
+    EXPECT_GE(starts[p + 1] - starts[p], 4u);
+}
+
+TEST(SpeedWeightedPartition, RejectsImpossibleRequests) {
+  EXPECT_THROW(build_partition(spec(InitialPartition::kSpeedWeighted, 5, 3,
+                                    {1.0, 1.0, 1.0}, 2)),
+               std::invalid_argument);
+  EXPECT_THROW(build_partition(spec(InitialPartition::kSpeedWeighted, 10, 2,
+                                    {1.0, -1.0}, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(
+      build_partition(spec(InitialPartition::kSpeedWeighted, 10, 0, {}, 1)),
+      std::invalid_argument);
+}
+
 }  // namespace

@@ -6,11 +6,10 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <numeric>
 #include <vector>
 
+#include "algo/partitioner.hpp"
 #include "des/simulator.hpp"
-#include "lb/iterative_schemes.hpp"
 #include "ode/brusselator.hpp"
 #include "ode/waveform.hpp"
 #include "ode/waveform_block.hpp"
@@ -138,7 +137,13 @@ TEST_P(PartitionProperty, SpeedWeightedInvariants) {
   util::Rng rng(static_cast<std::uint64_t>(total_raw * 31 + parts_raw));
   std::vector<double> speeds(parts);
   for (auto& s : speeds) s = rng.uniform(0.5, 5.0);
-  const auto starts = lb::speed_weighted_partition(total, speeds, 2);
+  algo::PartitionSpec spec;
+  spec.mode = algo::InitialPartition::kSpeedWeighted;
+  spec.dimension = total;
+  spec.processors = parts;
+  spec.speeds = speeds;
+  spec.min_per_part = 2;
+  const auto starts = algo::build_partition(spec);
   ASSERT_EQ(starts.size(), parts + 1);
   EXPECT_EQ(starts.front(), 0u);
   EXPECT_EQ(starts.back(), total);
@@ -221,43 +226,5 @@ TEST(RngProperty, SplitStreamsDecorrelated) {
   const double corr = cov / std::sqrt(var_a * var_b);
   EXPECT_LT(std::abs(corr), 0.03);
 }
-
-// ---------------------------------------------------------------------
-// Diffusion balancing invariants over random graphs.
-class DiffusionProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(DiffusionProperty, ConservationAndContractionOnRandomGraphs) {
-  util::Rng rng(GetParam());
-  const std::size_t n = 4 + static_cast<std::size_t>(rng.uniform_int(0, 12));
-  // Random connected graph: a chain plus random chords.
-  auto graph = lb::ProcessorGraph::chain(n);
-  for (int extra = 0; extra < 3; ++extra) {
-    const auto a = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    const auto b = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    if (a != b) graph.add_edge(a, b);
-  }
-  ASSERT_TRUE(graph.connected());
-  std::vector<double> loads(n);
-  for (auto& l : loads) l = rng.uniform(0.0, 50.0);
-  const double total = std::accumulate(loads.begin(), loads.end(), 0.0);
-  const double alpha = 0.9 / static_cast<double>(graph.max_degree() + 1);
-
-  auto imbalance = [](const std::vector<double>& v) {
-    const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
-    return *hi - *lo;
-  };
-  double previous = imbalance(loads);
-  for (int sweep = 0; sweep < 50; ++sweep) {
-    loads = lb::diffusion_step(graph, loads, alpha);
-    EXPECT_NEAR(std::accumulate(loads.begin(), loads.end(), 0.0), total,
-                1e-8);
-  }
-  EXPECT_LT(imbalance(loads), previous + 1e-12);  // no divergence
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DiffusionProperty,
-                         ::testing::Values(5, 15, 25, 35, 45));
 
 }  // namespace

@@ -77,6 +77,14 @@ TEST(SlotBox, ConcurrentPutTakeIsSafe) {
   EXPECT_GT(taken.load(), 0);
 }
 
+TEST(ThreadTeam, RunsEveryRankExactlyOnce) {
+  std::vector<std::atomic<int>> hits(8);
+  ThreadTeam team;
+  team.spawn(8, [&](std::size_t rank) { hits[rank].fetch_add(1); });
+  team.join();
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 TEST(Barrier, SynchronizesPhases) {
   constexpr std::size_t kThreads = 4;
   Barrier barrier(kThreads);
@@ -97,14 +105,6 @@ TEST(Barrier, SynchronizesPhases) {
 
 TEST(Barrier, RejectsZeroParties) {
   EXPECT_THROW(Barrier{0}, std::invalid_argument);
-}
-
-TEST(ThreadTeam, RunsEveryRankExactlyOnce) {
-  std::vector<std::atomic<int>> hits(8);
-  ThreadTeam team;
-  team.spawn(8, [&](std::size_t rank) { hits[rank].fetch_add(1); });
-  team.join();
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(Notifier, WaitTimesOutWhenNothingHappens) {

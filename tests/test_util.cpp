@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -146,6 +147,9 @@ TEST(TableTest, NumFormatsFixedPrecision) {
 
 TEST(CliTest, ParsesAllForms) {
   CliParser cli;
+  cli.describe("alpha", "relaxation");
+  cli.describe("count", "repetitions");
+  cli.describe("flag", "a boolean switch");
   const char* argv[] = {"prog", "--alpha=0.5", "--count", "7", "--flag"};
   cli.parse(5, argv);
   EXPECT_DOUBLE_EQ(cli.get_double("alpha"), 0.5);
@@ -168,9 +172,30 @@ TEST(CliTest, HelpAndErrors) {
   EXPECT_THROW(bad.parse(2, argv2), std::invalid_argument);
 
   CliParser badint;
+  badint.describe("n", "problem size", "100");
   const char* argv3[] = {"prog", "--n=abc"};
   badint.parse(2, argv3);
   EXPECT_THROW(badint.get_int("n"), std::invalid_argument);
+}
+
+TEST(CliTest, RejectsUndeclaredKeys) {
+  CliParser cli;
+  cli.describe("lb", "enable load balancing", "true");
+  const char* typo[] = {"prog", "--lbb=false"};
+  try {
+    cli.parse(2, typo);
+    ADD_FAILURE() << "undeclared --lbb was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--lbb"), std::string::npos)
+        << e.what();
+  }
+  // The separate-value form is checked too, and help still parses.
+  const char* spaced[] = {"prog", "--build", "build"};
+  EXPECT_THROW(cli.parse(3, spaced), std::invalid_argument);
+  const char* help[] = {"prog", "-h", "--lb=false"};
+  cli.parse(3, help);
+  EXPECT_TRUE(cli.help_requested());
+  EXPECT_FALSE(cli.get_bool("lb", true));
 }
 
 }  // namespace

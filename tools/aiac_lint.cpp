@@ -7,7 +7,7 @@
 // and wire-format hygiene in src/net/ (no struct punning, fixed-width
 // frame fields, FrameType serializer/parser/golden exhaustiveness).
 //
-//   tools/aiac_lint --root=. --build=build            # whole tree
+//   tools/aiac_lint --root=.                          # whole tree
 //   tools/aiac_lint --checks=lock --file=a.cpp,b.cpp  # explicit files
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/configuration error.
@@ -43,8 +43,6 @@ int main(int argc, char** argv) {
       "freedom, lock discipline, wire-format hygiene)");
   cli.describe("root", "repository root findings are reported relative to",
                ".");
-  cli.describe("build", "build dir with compile_commands.json (enables the "
-                        "libclang backend when this binary has it)", "");
   cli.describe("checks", "comma list of checks to run: alloc,lock,wire",
                "all");
   cli.describe("hot", "extra hot entry points (comma list of "
@@ -78,7 +76,6 @@ int main(int argc, char** argv) {
   }
 
   config.root = cli.get_string("root", ".");
-  config.compile_commands_dir = cli.get_string("build", "");
   config.checks = split_csv(cli.get_string("checks", ""));
   config.hot_roots = split_csv(cli.get_string("hot", ""));
   config.use_default_registry = !cli.get_bool("no-default-registry");
@@ -111,10 +108,8 @@ int main(int argc, char** argv) {
   }
   if (!cli.get_bool("quiet")) {
     std::printf(
-        "aiac_lint: %zu file(s), backend %s: %zu finding(s), %zu "
-        "allowlisted\n",
-        report.files_scanned, report.backend.c_str(),
-        report.findings.size(), report.suppressed);
+        "aiac_lint: %zu file(s): %zu finding(s), %zu allowlisted\n",
+        report.files_scanned, report.findings.size(), report.suppressed);
   }
   return report.findings.empty() ? 0 : 1;
 }
