@@ -13,9 +13,9 @@
 #   scripts/ci.sh ubsan      # UBSan-only build (plus float-divide-by-zero,
 #                            # which the combined Asan type doesn't enable)
 #                            # over the algo/net/check labels
-#   scripts/ci.sh lint       # aiac_lint (project invariants) + clang-tidy
-#                            # over compile_commands.json, or a -Werror
-#                            # build when clang-tidy is unavailable
+#   scripts/ci.sh lint       # aiac_lint (project invariants), a -Werror
+#                            # build, and clang-tidy over
+#                            # compile_commands.json when installed
 #   scripts/ci.sh bench-smoke  # quick kernel bench vs the checked-in
 #                              # BENCH_kernels.json baseline; fails on
 #                              # allocation-count or speedup regressions
@@ -88,6 +88,12 @@ lint() {
   echo "==> lint: aiac_lint (hot-path / lock / wire invariants)"
   cmake --build build -j"$jobs" --target aiac_lint
   ./build/tools/aiac_lint --root=.
+  # Always, clang-tidy or not: .clang-tidy's WarningsAsErrors covers no
+  # compiler diagnostic, so only this build fails on a warning of
+  # aiac_warnings (-Wsign-conversion and the rest).
+  echo "==> lint: -Werror build"
+  cmake -B build-lint -S . -DAIAC_WERROR=ON >/dev/null
+  cmake --build build-lint -j"$jobs"
   local tidy=""
   for candidate in clang-tidy clang-tidy-18 clang-tidy-17 clang-tidy-16 \
                    clang-tidy-15 clang-tidy-14; do
@@ -102,9 +108,7 @@ lint() {
     "$tidy" -p build --quiet \
       $(find src tools -name '*.cpp' ! -path '*/build/*')
   else
-    echo "==> lint: clang-tidy not found; falling back to -Werror build"
-    cmake -B build-lint -S . -DAIAC_WERROR=ON >/dev/null
-    cmake --build build-lint -j"$jobs"
+    echo "==> lint: clang-tidy not found; skipped"
   fi
   echo "==> lint: clean"
 }

@@ -22,17 +22,8 @@ void DetectionProtocol::send(std::size_t src, std::size_t dst,
 }
 
 void DetectionProtocol::on_iteration_end(std::size_t rank) {
-  if (halting_) return;
-  switch (mode_) {
-    case DetectionMode::kOracle:
-      break;  // the driver probes globally itself
-    case DetectionMode::kCoordinator:
-      coordinator_report(rank);
-      break;
-    case DetectionMode::kTokenRing:
-      if (token_holder_ == rank && !token_in_flight_) handle_token(rank);
-      break;
-  }
+  if (halting_ || mode_ != DetectionMode::kCoordinator) return;
+  coordinator_report(rank);
 }
 
 void DetectionProtocol::handle_control(std::size_t at,
@@ -80,15 +71,6 @@ void DetectionProtocol::handle_control(std::size_t at,
         return;
       }
       if (++verify_acks_ == processors_) halt();
-      return;
-    case ControlFrame::Kind::kToken:
-      token_in_flight_ = false;
-      token_holder_ = at;
-      token_count_ = frame.count;
-      if (halting_) return;
-      // A busy node folds the token in at its next iteration end; an idle
-      // one must process it now or the ring stalls.
-      if (driver_->node_idle(at)) handle_token(at);
       return;
     case ControlFrame::Kind::kHalt:
       // Only the socket backend ships these (its broadcast_halt); the
@@ -143,26 +125,6 @@ void DetectionProtocol::maybe_begin_verification() {
     request.epoch = epoch;
     send(0, r, request);
   }
-}
-
-void DetectionProtocol::handle_token(std::size_t rank) {
-  if (halting_) return;
-  const bool converged = driver_->locally_converged(rank);
-  token_count_ = converged ? token_count_ + 1 : 0;
-  if (token_count_ >= processors_) {
-    halt();
-    return;
-  }
-  const std::size_t next = (rank + 1) % processors_;
-  // The sender stops acting as holder the moment the token leaves; the
-  // receiving instance (the same one when it is shared) clears
-  // in_flight/holder when the frame lands.
-  token_in_flight_ = true;
-  ControlFrame token;
-  token.kind = ControlFrame::Kind::kToken;
-  token.sender = rank;
-  token.count = token_count_;
-  send(rank, next, token);
 }
 
 void DetectionProtocol::halt() {

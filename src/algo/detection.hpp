@@ -1,14 +1,14 @@
 // Convergence detection, implemented once for every driver.
 //
-// Three modes (see types.hpp): the oracle is a driver-side global probe
+// Two modes (see types.hpp): the oracle is a driver-side global probe
 // (`oracle_probe` below — the driver guarantees a quiescent view, by
 // construction in the single-threaded simulator, by holding every block
-// lock in the threaded engine); coordinator and token-ring are genuine
-// message protocols driven through `DetectionProtocol`, whose control
-// messages are plain-data ControlFrames sent through
-// Transport::send_control with the driver's latency and accounting. The
-// in-process drivers share one instance across all ranks; the socket
-// backend runs one instance per process.
+// lock in the threaded engine); the coordinator is a genuine message
+// protocol driven through `DetectionProtocol`, whose control messages are
+// plain-data ControlFrames sent through Transport::send_control with the
+// driver's latency and accounting. The in-process drivers share one
+// instance across all ranks; the socket backend runs one instance per
+// process.
 //
 // DetectionProtocol is not thread-safe: the threaded driver serializes all
 // calls (on_iteration_end and the drained control frames) under one
@@ -33,13 +33,6 @@ class DetectionDriver {
   /// the driver can access safely in the calling context (the threaded
   /// driver reads an atomic mirror, not the core itself).
   virtual bool locally_converged(std::size_t rank) const = 0;
-
-  /// True when `rank` is not mid-iteration, so an arriving token must be
-  /// processed on delivery or the ring stalls. The threaded driver always
-  /// returns false: every node folds the token in at its own next
-  /// iteration end (the control push wakes a dormant node, which then
-  /// runs one more iteration).
-  virtual bool node_idle(std::size_t rank) const = 0;
 
   /// Evaluated at `rank` when a coordinator verification request is
   /// delivered (see coordinator verification below): may this node confirm
@@ -67,8 +60,7 @@ class DetectionProtocol {
 
   /// Hook the driver calls after each processor's finish_iteration.
   /// kOracle: no-op (the driver probes globally itself). kCoordinator:
-  /// report local-convergence flips to rank 0. kTokenRing: fold the token
-  /// in if this node holds it.
+  /// report local-convergence flips to rank 0.
   void on_iteration_end(std::size_t rank);
 
   /// Processes a control frame in rank `at`'s execution context: the
@@ -85,7 +77,6 @@ class DetectionProtocol {
   void send(std::size_t src, std::size_t dst, const ControlFrame& frame);
   void coordinator_report(std::size_t rank);
   void maybe_begin_verification();
-  void handle_token(std::size_t rank);
   void halt();
 
   DetectionMode mode_;
@@ -112,11 +103,6 @@ class DetectionProtocol {
   bool verify_rearm_ = false;
   std::size_t verify_epoch_ = 0;
   std::size_t verify_acks_ = 0;
-
-  // Token-ring state.
-  std::size_t token_holder_ = 0;
-  std::size_t token_count_ = 0;  // consecutively-converged nodes seen
-  bool token_in_flight_ = false;
 };
 
 /// The oracle's global convergence probe over a quiescent fleet view:
@@ -137,11 +123,11 @@ struct OracleSnapshot {
 OracleSnapshot oracle_probe(const CoreFleet& fleet, bool lb_in_flight,
                             double tolerance);
 
-/// The coordinator/token-ring halt audit: those protocols guaranteed
-/// persistent local convergence, not interface consistency, so this
-/// records whatever actually held at the halt instant (`converged` is
-/// always true). Interfaces disturbed by an in-flight migration are not
-/// measurable and are skipped.
+/// The coordinator halt audit: the protocol guaranteed persistent local
+/// convergence, not interface consistency, so this records whatever
+/// actually held at the halt instant (`converged` is always true).
+/// Interfaces disturbed by an in-flight migration are not measurable and
+/// are skipped.
 OracleSnapshot measured_audit(const CoreFleet& fleet);
 
 }  // namespace aiac::algo

@@ -42,7 +42,7 @@ namespace aiac::algo {
 struct CoreParams {
   double tolerance = 1e-8;
   /// Consecutive undisturbed under-tolerance iterations before a node
-  /// calls itself locally converged (coordinator / token-ring guard).
+  /// calls itself locally converged (the coordinator's guard).
   std::size_t persistence = 3;
   /// Famine guard: a migration never leaves the sender with fewer owned
   /// components than this (max of the balancer's min_components and

@@ -32,13 +32,11 @@ struct ControlFrame {
     kHeartbeat,      // still-converged ping; re-arms aborted verifications
     kVerifyRequest,  // coordinator asks a node to confirm its report
     kVerifyAck,      // the node's verdict, echoing the round's epoch
-    kToken,          // token-ring token carrying the converged-lap count
-    kHalt,           // the halt decision reached this rank
+    kHalt = 5,       // the halt decision reached this rank (4 is retired)
   };
   Kind kind = Kind::kReport;
   std::size_t sender = 0;  // originating rank
   std::size_t epoch = 0;   // verification round (kVerifyRequest/kVerifyAck)
-  std::size_t count = 0;   // converged-lap count (kToken)
   bool flag = false;       // converged? (kReport) / confirmed? (kVerifyAck)
 };
 

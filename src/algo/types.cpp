@@ -1,5 +1,7 @@
 #include "algo/types.hpp"
 
+#include <stdexcept>
+
 namespace aiac::algo {
 
 std::string to_string(Scheme scheme) {
@@ -15,9 +17,15 @@ std::string to_string(DetectionMode mode) {
   switch (mode) {
     case DetectionMode::kOracle: return "oracle";
     case DetectionMode::kCoordinator: return "coordinator";
-    case DetectionMode::kTokenRing: return "token-ring";
   }
   return "?";
+}
+
+DetectionMode parse_detection(const std::string& name) {
+  for (const DetectionMode mode :
+       {DetectionMode::kOracle, DetectionMode::kCoordinator})
+    if (to_string(mode) == name) return mode;
+  throw std::invalid_argument("unknown detection mode: " + name);
 }
 
 std::string to_string(InitialPartition partition) {

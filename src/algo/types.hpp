@@ -32,14 +32,12 @@ enum class DetectionMode {
   /// design to the authors' companion work; this is the classic
   /// coordinator scheme with a persistence guard).
   kCoordinator,
-  /// Fully decentralized: a token circulates over the ring 0..P-1
-  /// counting consecutively-converged nodes; a full lap of converged
-  /// nodes triggers the halt broadcast. No node plays a special role
-  /// beyond initially holding the token.
-  kTokenRing,
 };
 
 std::string to_string(DetectionMode mode);
+/// Inverse of to_string(DetectionMode); throws std::invalid_argument on an
+/// unknown name.
+DetectionMode parse_detection(const std::string& name);
 
 /// How components are initially distributed (paper: homogeneous
 /// distribution; the authors' earlier work [2] uses static speed-weighted

@@ -11,8 +11,8 @@
 //    core's own watermark so intra-action dips are caught too;
 //  * migration-flag discipline — at most one migration in flight per
 //    link, and no node initiates one on a busy link (Algorithm 4/7);
-//  * detection safety — no halt (oracle, coordinator or token-ring)
-//    while any residual is stale or exceeds tolerance, i.e. no premature
+//  * detection safety — no halt (oracle or coordinator) while any
+//    residual is stale or exceeds tolerance, i.e. no premature
 //    convergence detection.
 //
 // The suite is open: tests and tools can register extra invariants next

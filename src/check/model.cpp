@@ -180,7 +180,7 @@ void CheckedModel::run_oracle() {
 }
 
 void CheckedModel::broadcast_halt() {
-  // Coordinator / token-ring decision. The fan-out latency is immaterial
+  // Coordinator decision. The fan-out latency is immaterial
   // to the checked invariants, so the halt is global and instant; what
   // matters — and what the detection-safety invariant inspects — is the
   // ground truth at this very instant.

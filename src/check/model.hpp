@@ -172,10 +172,6 @@ class CheckedModel final : public algo::Transport,
 
   // ---- algo::DetectionDriver ----------------------------------------
   bool locally_converged(std::size_t rank) const override;
-  /// As in the threaded driver: a token is never processed on delivery;
-  /// the destination folds it in at its next step (the scheduler decides
-  /// when that happens — including never, within the horizon).
-  bool node_idle(std::size_t) const override { return false; }
   void broadcast_halt() override;
 
  private:

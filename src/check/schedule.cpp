@@ -28,17 +28,6 @@ std::string format_double(double value) {
   return buffer;
 }
 
-std::string detection_name(algo::DetectionMode mode) {
-  return algo::to_string(mode);
-}
-
-algo::DetectionMode parse_detection(const std::string& name) {
-  if (name == "oracle") return algo::DetectionMode::kOracle;
-  if (name == "coordinator") return algo::DetectionMode::kCoordinator;
-  if (name == "token-ring") return algo::DetectionMode::kTokenRing;
-  throw std::invalid_argument("schedule: unknown detection mode: " + name);
-}
-
 std::string partition_name(algo::InitialPartition partition) {
   return algo::to_string(partition);
 }
@@ -99,7 +88,7 @@ std::string Schedule::serialize() const {
   out << "receive_filter_factor="
       << format_double(config.receive_filter_factor) << "\n";
   out << "load_balancing=" << (config.load_balancing ? 1 : 0) << "\n";
-  out << "detection=" << detection_name(config.detection) << "\n";
+  out << "detection=" << algo::to_string(config.detection) << "\n";
   out << "partition=" << partition_name(config.partition) << "\n";
   out << "speeds=";
   for (std::size_t i = 0; i < config.speeds.size(); ++i) {
@@ -157,7 +146,7 @@ Schedule Schedule::parse(const std::string& text) {
       else if (key == "receive_filter_factor")
         c.receive_filter_factor = std::stod(value);
       else if (key == "load_balancing") c.load_balancing = value == "1";
-      else if (key == "detection") c.detection = parse_detection(value);
+      else if (key == "detection") c.detection = algo::parse_detection(value);
       else if (key == "partition") c.partition = parse_partition(value);
       else if (key == "speeds") {
         c.speeds.clear();

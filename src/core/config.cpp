@@ -42,8 +42,7 @@ std::optional<ode::BoundaryDeltaSender::Config> delta_config(
     const EngineConfig& config) {
   if (!config.delta_boundaries) return std::nullopt;
   return ode::BoundaryDeltaSender::Config{
-      config.tolerance * config.delta_threshold_factor,
-      config.delta_refresh_period};
+      config.tolerance * kDeltaThresholdFactor, ode::kDeltaRefreshPeriod};
 }
 
 std::string iteration_budget_reason(const EngineConfig& config) {

@@ -32,6 +32,16 @@ using algo::InitialPartition;
 using algo::Scheme;
 using algo::to_string;
 
+/// Bytes charged per detection control message (report, heartbeat,
+/// verification request/ack, halt) by the simulated and threaded drivers.
+inline constexpr std::size_t kControlMessageBytes = 64;
+/// Sender-side delta thinning threshold as a fraction of the tolerance
+/// (DESIGN.md §14): a row rides a delta only once some value moved more
+/// than tolerance * kDeltaThresholdFactor from the last full frame. Equal
+/// to the receive filter's default factor, so thinning introduces no
+/// error the filter does not already tolerate.
+inline constexpr double kDeltaThresholdFactor = 0.01;
+
 struct EngineConfig {
   Scheme scheme = Scheme::kAIAC;
 
@@ -63,19 +73,11 @@ struct EngineConfig {
   // negotiates the feature in Hello and thins each boundary send down to
   // the rows that moved; the sim/thread engines deliver full values but
   // charge the same bytes-on-wire metric so cross-engine byte accounting
-  // stays comparable.
+  // stays comparable. Threshold and refresh period are the constants
+  // kDeltaThresholdFactor and ode::kDeltaRefreshPeriod.
   /// Master switch: when false the feature is never advertised and every
   /// backend charges full-frame sizes.
   bool delta_boundaries = true;
-  /// Sender-side thinning threshold as a fraction of `tolerance`, like
-  /// receive_filter_factor: a row rides a delta only once some value
-  /// moved more than tolerance * delta_threshold_factor from the last
-  /// full frame. Defaults to the receive filter's factor so thinning
-  /// introduces no error the filter does not already tolerate.
-  double delta_threshold_factor = 0.01;
-  /// Forced full refresh after this many consecutive delta sends per
-  /// link, bounding how long an epoch-desynced receiver can stay stale.
-  std::size_t delta_refresh_period = 32;
 
   std::size_t max_iterations_per_processor = 500000;
   double max_virtual_time = 1e9;  // safety stop, virtual seconds
@@ -95,9 +97,6 @@ struct EngineConfig {
   std::vector<double> processor_speeds;
 
   // Timing model.
-  /// Fixed per-iteration work overhead (loop management, residual
-  /// computation, convergence bookkeeping), in work units.
-  double iteration_overhead_work = 1.0;
   /// SIAC/AIAC dispatch the leftward boundary data early in the iteration
   /// (paper Fig. 2-4: "the first half of data is sent as soon as
   /// updated"); this is the fraction of the iteration after which it
@@ -122,7 +121,6 @@ struct EngineConfig {
   /// Consecutive under-tolerance iterations before a node reports local
   /// convergence to the coordinator (kCoordinator mode).
   std::size_t persistence = 3;
-  std::size_t control_message_bytes = 64;
 };
 
 struct EngineResult {
@@ -162,7 +160,7 @@ struct EngineResult {
   /// interface gap and per-processor residual at the instant the halt
   /// decision was taken, over a quiescent view (every block lock held in
   /// the threaded backend). Under oracle detection both must be within
-  /// tolerance or detection fired early; coordinator/token-ring record
+  /// tolerance or detection fired early; the coordinator records
   /// whatever the protocol actually guaranteed. -1 when not converged.
   double detection_gap = -1.0;
   double detection_max_residual = -1.0;

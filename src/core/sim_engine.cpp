@@ -24,6 +24,10 @@ namespace {
 
 using algo::Side;
 
+/// Fixed per-iteration work overhead (loop management, residual
+/// computation, convergence bookkeeping), in work units.
+constexpr double kIterationOverheadWork = 1.0;
+
 /// The discrete-event driver: all algorithm state lives in the shared
 /// algo::ProcessorCore / DetectionProtocol; this class only schedules
 /// events, models message latency and computation duration on the grid,
@@ -138,14 +142,12 @@ class SimEngine final : public algo::Transport,
     const double delay =
         src == dst
             ? 0.0
-            : grid_.message_delay(src, dst, config_.control_message_bytes,
-                                  now_);
+            : grid_.message_delay(src, dst, kControlMessageBytes, now_);
     ++control_messages_;
-    control_bytes_ += config_.control_message_bytes;
+    control_bytes_ += kControlMessageBytes;
     if (src != dst)
       algo::emit_message(trace_, src, dst, now_, now_ + delay,
-                         config_.control_message_bytes,
-                         trace::MessageKind::kControl);
+                         kControlMessageBytes, trace::MessageKind::kControl);
     sim_.schedule_at(now_ + delay, [this, dst, frame] {
       if (stopped_) return;
       protocol_->handle_control(dst, frame);
@@ -156,10 +158,6 @@ class SimEngine final : public algo::Transport,
 
   bool locally_converged(std::size_t rank) const override {
     return fleet_->core(rank).locally_converged();
-  }
-
-  bool node_idle(std::size_t rank) const override {
-    return !procs_[rank].computing;
   }
 
   /// Coordinator verification: a node confirms only when nothing it has
@@ -184,10 +182,9 @@ class SimEngine final : public algo::Transport,
     for (std::size_t p = 0; p < procs_.size(); ++p) {
       const double delay =
           p == 0 ? 0.0
-                 : grid_.message_delay(0, p, config_.control_message_bytes,
-                                       now_);
+                 : grid_.message_delay(0, p, kControlMessageBytes, now_);
       ++control_messages_;
-      control_bytes_ += config_.control_message_bytes;
+      control_bytes_ += kControlMessageBytes;
       sim_.schedule_at(now_ + delay, [this, p] {
         procs_[p].halted = true;
         if (std::all_of(procs_.begin(), procs_.end(),
@@ -267,7 +264,7 @@ class SimEngine final : public algo::Transport,
     // buffers them in its inbox rather than applying them directly.
     const std::size_t components = core.components();
     const auto stats = core.run_iteration();
-    const double work = stats.work + config_.iteration_overhead_work;
+    const double work = stats.work + kIterationOverheadWork;
     const double duration =
         work_to_seconds(p, work, t_start, static_cast<double>(components));
 

@@ -200,7 +200,7 @@ class ThreadEngine final : public algo::Transport,
   void send_control(std::size_t, std::size_t dst,
                     const algo::ControlFrame& frame) override {
     ++control_messages_;
-    control_bytes_ += config_.control_message_bytes;
+    control_bytes_ += kControlMessageBytes;
     procs_[dst].control.push(frame);
   }
 
@@ -209,12 +209,6 @@ class ThreadEngine final : public algo::Transport,
   bool locally_converged(std::size_t rank) const override {
     return procs_[rank].locally_converged.load();
   }
-
-  /// A token is never processed on delivery here: the receiving node folds
-  /// it in at its own next iteration end (a dormant node is woken by the
-  /// control push and runs one more iteration). Processing on delivery
-  /// would recurse through the drain loop on a self-posted token.
-  bool node_idle(std::size_t) const override { return false; }
 
   /// Coordinator verification, aligned with the other two backends: a
   /// node whose migration mailbox is non-empty (or whose adjacent links
@@ -231,7 +225,7 @@ class ThreadEngine final : public algo::Transport,
     return true;
   }
 
-  /// Coordinator/token-ring halt (under detection_mutex_, caller holds no
+  /// Coordinator halt (under detection_mutex_, caller holds no
   /// block lock). The protocol guaranteed persistent local convergence,
   /// not interface consistency; record what actually held over a
   /// quiescent view, then bring every thread down.
@@ -245,7 +239,7 @@ class ThreadEngine final : public algo::Transport,
     // The halt fan-out is one control message per processor, as on the
     // simulated backend.
     control_messages_ += nprocs_;
-    control_bytes_ += nprocs_ * config_.control_message_bytes;
+    control_bytes_ += nprocs_ * kControlMessageBytes;
     halt_.store(true, std::memory_order_release);
     locks.clear();
     wake_all();

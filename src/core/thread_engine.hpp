@@ -26,10 +26,10 @@
 namespace aiac::core {
 
 /// Runs the configured scheme on `processors` threads. `execution_time`
-/// in the result is wall-clock seconds. Timing-model fields of the config
-/// (iteration_overhead_work, early_send_fraction) are ignored — durations
-/// are measured, never modeled. All DetectionModes and InitialPartitions
-/// are honored; the speed-weighted partition uses
+/// in the result is wall-clock seconds. The timing model (the simulated
+/// driver's per-iteration overhead, early_send_fraction) does not apply —
+/// durations are measured, never modeled. All DetectionModes and
+/// InitialPartitions are honored; the speed-weighted partition uses
 /// `config.processor_speeds` (empty means uniform, degenerating to the
 /// even split). When `config.faults.enabled`, the chaos layer perturbs
 /// deliveries/compute per the seeded fault plans; if `trace` is non-null,

@@ -52,14 +52,15 @@ bool write_fd_all(int fd, std::span<const std::uint8_t> bytes) {
 }
 
 /// The worker transport's knobs: socket policy from NetConfig plus the
-/// delta-boundary settings the EngineConfig carries (the threshold is the
-/// engine tolerance scaled by the configured factor, see DESIGN.md §14).
+/// EngineConfig's delta switch, thinning at the engine tolerance scaled by
+/// core::kDeltaThresholdFactor (DESIGN.md §14) and refreshing every
+/// ode::kDeltaRefreshPeriod sends, as the sim and thread planners do.
 TransportConfig transport_config(const core::EngineConfig& config,
                                  const NetConfig& net) {
   TransportConfig tc = net.transport;
   tc.delta_boundaries = config.delta_boundaries;
-  tc.delta_threshold = config.tolerance * config.delta_threshold_factor;
-  tc.delta_refresh_period = config.delta_refresh_period;
+  tc.delta_threshold = config.tolerance * core::kDeltaThresholdFactor;
+  tc.delta_refresh_period = ode::kDeltaRefreshPeriod;
   return tc;
 }
 
@@ -107,8 +108,11 @@ class NetWorker final : public FrameSink,
     }
     // The lower rank starts with each link's token.
     right_link_.hold_token = true;
+    // No process holds a global view, so the oracle's quiescent probe is
+    // unimplementable here: every run, whatever config.detection says,
+    // uses the coordinator protocol and its verification round.
     protocol_ = std::make_unique<algo::DetectionProtocol>(
-        config.detection, processors, transport_, *this);
+        algo::DetectionMode::kCoordinator, processors, transport_, *this);
   }
 
   /// Wires the mesh, runs to halt/failure, writes the result frames to
@@ -153,10 +157,6 @@ class NetWorker final : public FrameSink,
   bool locally_converged(std::size_t) const override {
     return core_.locally_converged();
   }
-
-  /// Tokens are folded in at the next iteration end, like the threaded
-  /// driver (processing on delivery would recurse through the drain).
-  bool node_idle(std::size_t) const override { return false; }
 
   /// The distributed confirm veto: beyond persistent local convergence,
   /// nothing may be in flight that could still change this block — a
@@ -726,13 +726,6 @@ core::EngineResult run_net(const ode::OdeSystem& system,
                            const NetConfig& net,
                            trace::ExecutionTrace* trace) {
   validate_config(processors, config);
-  core::EngineConfig cfg = config;
-  // No process of a distributed deployment holds a global view, so the
-  // oracle's quiescent probe is unimplementable here; the coordinator
-  // protocol (with its verification round) is the strongest distributed
-  // mode and stands in for it. Pinned by tests/test_net_engine.cpp.
-  if (cfg.detection == core::DetectionMode::kOracle)
-    cfg.detection = core::DetectionMode::kCoordinator;
 
   const bool collect_trace = trace != nullptr;
   const std::size_t P = processors;
@@ -777,7 +770,7 @@ core::EngineResult run_net(const ode::OdeSystem& system,
       }
       int code = 1;
       try {
-        NetWorker worker(r, P, system, cfg, net, collect_trace);
+        NetWorker worker(r, P, system, config, net, collect_trace);
         code = worker.run(listeners[r], ports, pipes[r][1]);
       } catch (...) {
         code = 1;
@@ -901,7 +894,7 @@ core::EngineResult run_net(const ode::OdeSystem& system,
   // already failed for another reason.
   result.iterations_per_processor.assign(P, 0);
   result.final_components.assign(P, 0);
-  result.solution = ode::Trajectory(system.dimension(), cfg.num_steps);
+  result.solution = ode::Trajectory(system.dimension(), config.num_steps);
   result.min_components_observed = std::numeric_limits<std::size_t>::max();
   std::vector<std::pair<std::size_t, std::size_t>> spans;  // (first, count)
   for (std::size_t r = 0; r < P; ++r) {
@@ -925,7 +918,7 @@ core::EngineResult run_net(const ode::OdeSystem& system,
       result.detection_max_residual =
           std::max(result.detection_max_residual, wr.detection_max_residual);
     spans.emplace_back(wr.first, wr.count);
-    if (wr.points == cfg.num_steps + 1) {
+    if (wr.points == config.num_steps + 1) {
       for (std::size_t i = 0; i < wr.count; ++i) {
         const auto row = result.solution.row(wr.first + i);
         const auto row_begin =

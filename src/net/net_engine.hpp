@@ -13,9 +13,10 @@
 //    specific iteration index; over a lossy-ordering-free but
 //    latency-bearing wire that protocol needs windowed flow control this
 //    backend deliberately does not grow. run_net throws for them.
-//  * DetectionMode::kOracle maps to kCoordinator: the oracle is a
-//    driver-side global probe, and no process of a distributed deployment
-//    holds a global view. The mapping is pinned by tests/test_net_engine.
+//  * Detection is always the coordinator protocol; EngineConfig::detection
+//    is not read. The oracle is a driver-side global probe, and no process
+//    of a distributed deployment holds a global view. Pinned by
+//    tests/test_net_engine.
 //  * The chaos layer (EngineConfig::faults) is thread-backend-only;
 //    run_net throws if enabled. The socket backend's fault story is real:
 //    NetConfig::kill_rank SIGKILLs a live worker and the peers report a

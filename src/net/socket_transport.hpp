@@ -74,7 +74,7 @@ struct TransportConfig {
   /// nor advertised and every boundary goes out full.
   bool delta_boundaries = true;
   double delta_threshold = 0.0;
-  std::size_t delta_refresh_period = 32;
+  std::size_t delta_refresh_period = ode::kDeltaRefreshPeriod;
 };
 
 /// Where pump() delivers decoded frames. Boundary delivery is zero-copy:

@@ -504,11 +504,17 @@ bool decode_migration(std::span<const std::uint8_t> data,
 
 namespace {
 
+/// Kind byte 4 belonged to a removed detection protocol; it stays
+/// unassigned so kHalt keeps its byte under the same kWireVersion.
+constexpr std::uint8_t kRetiredControlKind = 4;
+
+/// kind u8, sender u64, epoch u64, a reserved u64 (always 0: the removed
+/// protocol's counter, kept so every frame stays byte-identical), flag u8.
 void write_control_payload(WireWriter& w, const algo::ControlFrame& frame) {
   w.u8(static_cast<std::uint8_t>(frame.kind));
   w.size(frame.sender);
   w.size(frame.epoch);
-  w.size(frame.count);
+  w.u64(0);
   w.u8(frame.flag ? 1 : 0);
 }
 
@@ -536,12 +542,13 @@ bool decode_control(std::span<const std::uint8_t> payload,
                     algo::ControlFrame& frame) {
   WireReader r(payload);
   const std::uint8_t kind = r.u8();
-  if (kind > static_cast<std::uint8_t>(algo::ControlFrame::Kind::kHalt))
+  if (kind == kRetiredControlKind ||
+      kind > static_cast<std::uint8_t>(algo::ControlFrame::Kind::kHalt))
     return false;
   frame.kind = static_cast<algo::ControlFrame::Kind>(kind);
   frame.sender = r.size();
   frame.epoch = r.size();
-  frame.count = r.size();
+  if (r.u64() != 0) return false;
   const std::uint8_t flag = r.u8();
   if (flag > 1) return false;
   frame.flag = flag == 1;

@@ -76,10 +76,9 @@ BoundaryDeltaSender::Plan BoundaryDeltaSender::plan(
   delta.rows.clear();
   for (std::size_t row = 0; row < full.row_count; ++row) {
     if (dirty_[row]) {
-      const std::size_t at = row * full.points;
+      const double* values = full.rows.data() + row * full.points;
       delta.row_indices.push_back(row);
-      delta.rows.insert(delta.rows.end(), full.rows.begin() + at,
-                        full.rows.begin() + at + full.points);
+      delta.rows.insert(delta.rows.end(), values, values + full.points);
     } else {
       ++rows_suppressed_;
     }

@@ -40,6 +40,11 @@
 
 namespace aiac::ode {
 
+/// Forced full refresh after this many consecutive delta sends per link,
+/// bounding how long an epoch-desynced receiver can stay stale. The one
+/// period every backend runs with.
+inline constexpr std::size_t kDeltaRefreshPeriod = 32;
+
 /// The wire form of a thinned boundary update: shape and piggybacked
 /// metadata as in BoundaryMessage, plus the changed rows by index.
 struct BoundaryDeltaMessage {
@@ -77,7 +82,7 @@ class BoundaryDeltaSender {
     double threshold = 0.0;
     /// Forced full refresh after this many consecutive delta sends, so an
     /// epoch-mismatched receiver is never stale for unbounded time.
-    std::size_t refresh_period = 32;
+    std::size_t refresh_period = kDeltaRefreshPeriod;
   };
 
   BoundaryDeltaSender() = default;

@@ -7,11 +7,10 @@
 // fixed-bandwidth kernels and the branch-free Jacobian assembly must
 // reproduce them bit for bit — solution, virtual execution time, total
 // work and iteration counts — since the virtual clock and every
-// balancing decision derive from them. The coordinator and token-ring
-// cases pin the detection control path the same way: their hashes were
-// recorded while control messages still travelled as closures, and the
-// plain-data ControlFrame delivery must reproduce them, message counts
-// included.
+// balancing decision derive from them. The coordinator case pins the
+// detection control path the same way: its hashes were recorded while
+// control messages still travelled as closures, and the plain-data
+// ControlFrame delivery must reproduce them, message counts included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -137,13 +136,6 @@ TEST(BlockGolden, Fig5ClusterCoordinatorDetection) {
             0x425e7c9eb3379bd7ULL);
   EXPECT_EQ(detection_hash(core::DetectionMode::kCoordinator, true),
             0xd053a213043f830dULL);
-}
-
-TEST(BlockGolden, Fig5ClusterTokenRingDetection) {
-  EXPECT_EQ(detection_hash(core::DetectionMode::kTokenRing, false),
-            0xf058ac247807a353ULL);
-  EXPECT_EQ(detection_hash(core::DetectionMode::kTokenRing, true),
-            0x7cc3eb31f2987f38ULL);
 }
 
 }  // namespace

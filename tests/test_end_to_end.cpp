@@ -73,16 +73,13 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(core::Scheme::kSISC, core::Scheme::kAIAC),
         ::testing::Bool(),
         ::testing::Values(core::DetectionMode::kOracle,
-                          core::DetectionMode::kCoordinator,
-                          core::DetectionMode::kTokenRing),
+                          core::DetectionMode::kCoordinator),
         ::testing::Values(ode::LocalSolveMode::kBlockNewton,
                           ode::LocalSolveMode::kScalarJacobi)),
     [](const auto& param_info) {
       std::string name = core::to_string(std::get<0>(param_info.param));
       name += std::get<1>(param_info.param) ? "_LB_" : "_NoLB_";
-      const std::string det =
-          core::to_string(std::get<2>(param_info.param));
-      name += det == "token-ring" ? "TokenRing" : det;
+      name += core::to_string(std::get<2>(param_info.param));
       name += std::get<3>(param_info.param) ==
                       ode::LocalSolveMode::kBlockNewton
                   ? "_Block"

@@ -1,5 +1,5 @@
-// Tests for the linear algebra substrate: vector ops, banded storage, the
-// in-place banded LU and the tridiagonal solver.
+// Tests for the linear algebra substrate: banded storage, the in-place
+// banded LU and the tridiagonal solver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,38 +12,11 @@
 #include <vector>
 
 #include "linalg/banded_matrix.hpp"
-#include "linalg/vector_ops.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace aiac::linalg;
-
-TEST(VectorOps, NormsAndDot) {
-  const std::vector<double> a = {3.0, -4.0};
-  EXPECT_DOUBLE_EQ(norm2(a), 5.0);
-  EXPECT_DOUBLE_EQ(norm_inf(a), 4.0);
-  EXPECT_DOUBLE_EQ(norm1(a), 7.0);
-  const std::vector<double> b = {1.0, 2.0};
-  EXPECT_DOUBLE_EQ(dot(a, b), -5.0);
-  EXPECT_THROW(dot(a, std::vector<double>{1.0}), std::invalid_argument);
-}
-
-TEST(VectorOps, AxpyAndDiff) {
-  std::vector<double> y = {1.0, 1.0};
-  axpy(2.0, std::vector<double>{1.0, -1.0}, y);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], -1.0);
-  EXPECT_DOUBLE_EQ(max_abs_diff(y, std::vector<double>{3.0, 0.0}), 1.0);
-}
-
-TEST(VectorOps, Linspace) {
-  const auto g = linspace(0.0, 1.0, 5);
-  ASSERT_EQ(g.size(), 5u);
-  EXPECT_DOUBLE_EQ(g.front(), 0.0);
-  EXPECT_DOUBLE_EQ(g.back(), 1.0);
-  EXPECT_DOUBLE_EQ(g[2], 0.5);
-}
 
 TEST(BandedMatrixTest, BandAccessRules) {
   BandedMatrix m(5, 1, 2);

@@ -115,28 +115,6 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(param_info.param) ? "Lb" : "NoLb");
     });
 
-// ---- Both detection modes over the wire -------------------------------
-
-TEST(NetParityDetection, TokenRingMatchesCoordinator) {
-  ode::Brusselator::Params params;
-  params.grid_points = 24;
-  const ode::Brusselator system(params);
-
-  EngineConfig config = base_config();
-  config.load_balancing = true;
-
-  config.detection = DetectionMode::kCoordinator;
-  const auto coordinated = net::run_net(system, 3, config, net_config());
-  config.detection = DetectionMode::kTokenRing;
-  const auto token_ring = net::run_net(system, 3, config, net_config());
-
-  ASSERT_TRUE(coordinated.converged) << coordinated.failure_reason;
-  ASSERT_TRUE(token_ring.converged) << token_ring.failure_reason;
-  EXPECT_LT(token_ring.solution.max_abs_diff(coordinated.solution), 1e-4);
-  EXPECT_EQ(sum(coordinated.final_components), system.dimension());
-  EXPECT_EQ(sum(token_ring.final_components), system.dimension());
-}
-
 // ---- Fisher-KPP: a different nonlinearity through all three engines ----
 
 TEST(NetParityFisher, AllEnginesAgree) {

@@ -145,23 +145,36 @@ TEST(NetWireGolden, BoundaryLayout) {
 
 TEST(NetWireGolden, ControlLayout) {
   algo::ControlFrame frame;
-  frame.kind = algo::ControlFrame::Kind::kToken;
+  frame.kind = algo::ControlFrame::Kind::kVerifyAck;
   frame.sender = 2;
   frame.epoch = 3;
-  frame.count = 4;
   frame.flag = true;
   std::vector<std::uint8_t> bytes;
   encode_control(frame, bytes);
   const std::vector<std::uint8_t> payload = {
-      0x04,                       // Kind::kToken
+      0x03,                       // Kind::kVerifyAck
       0x02, 0, 0, 0, 0, 0, 0, 0,  // sender
       0x03, 0, 0, 0, 0, 0, 0, 0,  // epoch
-      0x04, 0, 0, 0, 0, 0, 0, 0,  // count
+      0, 0, 0, 0, 0, 0, 0, 0,     // reserved, always 0
       0x01,                       // flag
   };
   ASSERT_EQ(bytes.size(), kFrameHeaderBytes + payload.size());
   EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
                          bytes.begin() + kFrameHeaderBytes));
+}
+
+TEST(NetWireGolden, HaltKindByte) {
+  // kHalt keeps the byte it had when kind 4 was still assigned.
+  algo::ControlFrame frame;
+  frame.kind = algo::ControlFrame::Kind::kHalt;
+  std::vector<std::uint8_t> bytes;
+  encode_control(frame, bytes);
+  ASSERT_EQ(bytes.size(), kFrameHeaderBytes + 26);
+  EXPECT_EQ(bytes[kFrameHeaderBytes], 0x05);
+  algo::ControlFrame decoded;
+  ASSERT_TRUE(decode_control(std::span(bytes).subspan(kFrameHeaderBytes),
+                             decoded));
+  EXPECT_EQ(decoded.kind, algo::ControlFrame::Kind::kHalt);
 }
 
 // Independent little-endian reference encoding: the goldens below pin
@@ -425,11 +438,14 @@ ode::MigrationPayload random_migration(std::mt19937_64& rng) {
 }
 
 algo::ControlFrame random_control(std::mt19937_64& rng) {
+  using Kind = algo::ControlFrame::Kind;
+  constexpr Kind kLiveKinds[] = {Kind::kReport, Kind::kHeartbeat,
+                                 Kind::kVerifyRequest, Kind::kVerifyAck,
+                                 Kind::kHalt};
   algo::ControlFrame frame;
-  frame.kind = static_cast<algo::ControlFrame::Kind>(rng() % 6);
+  frame.kind = kLiveKinds[rng() % std::size(kLiveKinds)];
   frame.sender = rng() % 64;
   frame.epoch = rng() % 100000;
-  frame.count = rng() % 100000;
   frame.flag = rng() % 2 == 0;
   return frame;
 }
@@ -503,7 +519,6 @@ TEST(NetWireFuzz, RoundTrip1000Seeds) {
     EXPECT_EQ(control2.kind, control.kind);
     EXPECT_EQ(control2.sender, control.sender);
     EXPECT_EQ(control2.epoch, control.epoch);
-    EXPECT_EQ(control2.count, control.count);
     EXPECT_EQ(control2.flag, control.flag);
 
     const WorkerResult result = random_worker_result(rng);
@@ -939,7 +954,7 @@ TEST(NetWireReject, TrailingGarbageInPayload) {
   w.u8(0);
   w.size(1);
   w.size(2);
-  w.size(3);
+  w.size(0);
   w.u8(1);
   w.u8(0xEE);  // trailing garbage
   end_frame(bytes, start);
@@ -978,6 +993,34 @@ TEST(NetWireReject, UnknownEnumValues) {
   ASSERT_EQ(try_extract_frame(bytes, view), DecodeStatus::kOk);
   ode::MigrationPayload payload;
   EXPECT_FALSE(decode_migration(view.payload, payload));
+}
+
+TEST(NetWireReject, RetiredControlKindAndReservedSlot) {
+  // A valid body (kReport, reserved 0) decodes; the same body with the
+  // retired kind byte 4, or with anything but 0 in the reserved slot, is
+  // rejected.
+  const auto control_frame = [](std::uint8_t kind, std::uint64_t reserved) {
+    std::vector<std::uint8_t> bytes;
+    const std::size_t start = begin_frame(bytes, FrameType::kControl);
+    WireWriter w(bytes);
+    w.u8(kind);
+    w.size(1);
+    w.size(2);
+    w.u64(reserved);
+    w.u8(1);
+    end_frame(bytes, start);
+    return bytes;
+  };
+  const auto decodes = [](const std::vector<std::uint8_t>& bytes) {
+    FrameView view;
+    EXPECT_EQ(try_extract_frame(bytes, view), DecodeStatus::kOk);
+    algo::ControlFrame frame;
+    return decode_control(view.payload, frame);
+  };
+  EXPECT_TRUE(decodes(control_frame(0, 0)));
+  EXPECT_FALSE(decodes(control_frame(4, 0)));
+  EXPECT_FALSE(decodes(control_frame(0, 1)));
+  EXPECT_FALSE(decodes(control_frame(0, std::uint64_t{1} << 63)));
 }
 
 TEST(NetWireStream, BackToBackFramesExtractInOrder) {

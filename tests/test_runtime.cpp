@@ -5,7 +5,6 @@
 #include <chrono>
 #include <thread>
 
-#include "runtime/barrier.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/notifier.hpp"
 #include "runtime/ordered_mutex.hpp"
@@ -83,28 +82,6 @@ TEST(ThreadTeam, RunsEveryRankExactlyOnce) {
   team.spawn(8, [&](std::size_t rank) { hits[rank].fetch_add(1); });
   team.join();
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Barrier, SynchronizesPhases) {
-  constexpr std::size_t kThreads = 4;
-  Barrier barrier(kThreads);
-  std::atomic<int> counter{0};
-  std::vector<int> observed(kThreads, -1);
-  ThreadTeam team;
-  team.spawn(kThreads, [&](std::size_t rank) {
-    counter.fetch_add(1);
-    barrier.arrive_and_wait();
-    // After the barrier every increment must be visible.
-    observed[rank] = counter.load();
-    barrier.arrive_and_wait();
-  });
-  team.join();
-  for (int value : observed) EXPECT_EQ(value, kThreads);
-  EXPECT_EQ(barrier.phase(), 2u);
-}
-
-TEST(Barrier, RejectsZeroParties) {
-  EXPECT_THROW(Barrier{0}, std::invalid_argument);
 }
 
 TEST(Notifier, WaitTimesOutWhenNothingHappens) {

@@ -37,15 +37,8 @@ check::ModelConfig config_from_cli(const util::CliParser& cli) {
       static_cast<std::size_t>(cli.get_int("iters", 6));
   config.mutate_disable_famine_guard = cli.get_bool("mutate-famine", false);
 
-  const std::string detection = cli.get_string("detection", "oracle");
-  if (detection == "oracle")
-    config.detection = algo::DetectionMode::kOracle;
-  else if (detection == "coordinator")
-    config.detection = algo::DetectionMode::kCoordinator;
-  else if (detection == "token-ring")
-    config.detection = algo::DetectionMode::kTokenRing;
-  else
-    throw std::invalid_argument("unknown --detection: " + detection);
+  config.detection =
+      algo::parse_detection(cli.get_string("detection", "oracle"));
   return config;
 }
 
@@ -99,7 +92,7 @@ int main(int argc, char** argv) {
   cli.describe("tol", "convergence tolerance", "1e-4");
   cli.describe("persistence", "detection persistence", "2");
   cli.describe("lb", "enable load balancing", "true");
-  cli.describe("detection", "oracle | coordinator | token-ring", "oracle");
+  cli.describe("detection", "oracle | coordinator", "oracle");
   cli.describe("iters", "per-processor iteration horizon", "6");
   cli.describe("schedules", "schedule budget (runs)", "10000");
   cli.describe("depth", "action budget per run", "200");

@@ -3,7 +3,7 @@
 // reaction-diffusion problem, aggregating results in the parent.
 //
 //   net_run --ranks=4 --problem=brusselator --lb=true
-//   net_run --ranks=3 --detection=token-ring --compare-sim=true
+//   net_run --ranks=3 --compare-sim=true
 //   net_run --ranks=4 --kill-rank=2            # fault demo: clean failure
 //
 // Exit status: 0 converged, 1 failed (reason printed), 2 usage error.
@@ -61,14 +61,9 @@ core::EngineConfig config_from_cli(const util::CliParser& cli) {
   config.persistence = static_cast<std::size_t>(cli.get_int("persistence", 3));
   config.intra_threads =
       static_cast<std::size_t>(cli.get_int("intra-threads", 1));
-
-  const std::string detection = cli.get_string("detection", "coordinator");
-  if (detection == "coordinator")
-    config.detection = core::DetectionMode::kCoordinator;
-  else if (detection == "token-ring")
-    config.detection = core::DetectionMode::kTokenRing;
-  else
-    throw std::invalid_argument("unknown --detection: " + detection);
+  // The socket backend always runs the coordinator protocol; the
+  // --compare-sim reference runs it too.
+  config.detection = core::DetectionMode::kCoordinator;
   return config;
 }
 
@@ -161,7 +156,6 @@ int main(int argc, char** argv) {
   cli.describe("lb-period", "balancer trigger period (iterations)", "3");
   cli.describe("lb-threshold", "balancer imbalance threshold ratio", "1.5");
   cli.describe("lb-min-components", "famine guard: minimum keep", "3");
-  cli.describe("detection", "coordinator | token-ring", "coordinator");
   cli.describe("persistence", "consecutive quiet iterations before local"
                " convergence is reported", "3");
   cli.describe("intra-threads", "intra-processor chunk count; each rank"
