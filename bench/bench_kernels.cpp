@@ -184,7 +184,7 @@ std::string json_escape_number(double v) {
 
 void write_json(const std::string& path, bool quick,
                 const std::vector<BenchResult>& results,
-                double end_to_end_seconds, double end_to_end_intra4) {
+                double end_to_end_seconds) {
   std::ofstream out(path);
   out << "{\n  \"schema\": \"aiac-bench-kernels-v1\",\n";
   out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
@@ -207,12 +207,6 @@ void write_json(const std::string& path, bool quick,
   out << "  ],\n";
   out << "  \"end_to_end\": {\"name\": \"fig5_sim_aiac_lb_3proc\", "
       << "\"seconds\": " << json_escape_number(end_to_end_seconds)
-      << "},\n";
-  // The same run with --intra-threads=4 (wall seconds; the virtual-time
-  // result is identical by construction). Extra object, so comparators
-  // iterating `benches` are unaffected.
-  out << "  \"end_to_end_intra4\": {\"name\": \"fig5_sim_aiac_lb_3proc_"
-      << "intra4\", \"seconds\": " << json_escape_number(end_to_end_intra4)
       << "}\n}\n";
 }
 
@@ -310,10 +304,9 @@ int compare_against_baseline(const std::string& baseline_path,
 
 /// Times forced full sweeps of a whole-domain WaveformBlock at the given
 /// chunk count, with a worker pool attached when the machine has room
-/// (workers = min(chunks - 1, hardware_concurrency - 1) — the engines'
-/// oversubscription cap; on a single-core host the pool degenerates to
-/// inline chunked execution, which is exactly what the engines run
-/// there). The block is converged first, so each forced sweep performs
+/// (workers = min(chunks - 1, hardware_concurrency - 1); on a
+/// single-core host the pool degenerates to inline chunked execution).
+/// The block is converged first, so each forced sweep performs
 /// the same chord-Newton re-solve of every step — a stable, repeatable
 /// workload with zero steady-state allocations.
 struct SweepBenchStats {
@@ -415,7 +408,7 @@ LuBenchStats run_penta_lu(std::size_t n, std::size_t reps) {
 
 // ---- End-to-end: a small fig5-style run ---------------------------------
 
-double end_to_end_seconds(bool quick, std::size_t intra_threads) {
+double end_to_end_seconds(bool quick) {
   ode::Brusselator::Params p;
   p.grid_points = quick ? 48 : 96;
   const ode::Brusselator system(p);
@@ -429,7 +422,6 @@ double end_to_end_seconds(bool quick, std::size_t intra_threads) {
   config.balancer.trigger_period = 2;
   config.balancer.threshold_ratio = 1.5;
   config.balancer.min_components = 3;
-  config.intra_threads = intra_threads;
   grid::HomogeneousClusterParams cluster;
   cluster.processes = 3;
   cluster.multi_user = false;
@@ -710,7 +702,7 @@ int main(int argc, char** argv) {
 
   // -- Pentadiagonal factor+solve at the two block sizes the benchmark
   //    workloads hand the block Newton: n = 4 (a 2-point sim-grid16
-  //    block) and n = 100 (a 50-point thread/net intra chunk). Reported
+  //    block) and n = 100 (a net-p4 rank's whole block). Reported
   //    per row (ns_per_step is ns per row here).
   for (const std::size_t n : {std::size_t{4}, std::size_t{100}}) {
     const std::size_t rows = quick ? 200000 : 4000000;
@@ -761,8 +753,7 @@ int main(int argc, char** argv) {
     results.push_back(r);
   }
 
-  const double e2e = end_to_end_seconds(quick, 1);
-  const double e2e_intra4 = end_to_end_seconds(quick, 4);
+  const double e2e = end_to_end_seconds(quick);
 
   std::cout << std::left;
   std::cout << "kernel                          ns/step   newton/step  "
@@ -774,10 +765,8 @@ int main(int argc, char** argv) {
               << r.allocs_per_step << r.speedup_vs_fresh << "\n";
   }
   std::cout << "end-to-end fig5-style sim run: " << e2e << " s\n";
-  std::cout << "end-to-end fig5-style sim run (intra-threads=4): "
-            << e2e_intra4 << " s\n";
 
-  write_json(out_path, quick, results, e2e, e2e_intra4);
+  write_json(out_path, quick, results, e2e);
   std::cout << "(json written to " << out_path << ")\n";
 
   const std::string baseline = cli.get_string("baseline");

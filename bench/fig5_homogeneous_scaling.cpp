@@ -24,10 +24,6 @@ int main(int argc, char** argv) {
                "16");
   cli.describe("loaded-fraction",
                "speed retained by a machine while other users run", "0.15");
-  cli.describe("intra-threads",
-               "intra-processor chunk count for every run (the virtual "
-               "clock charges the same work; wall time of the bench "
-               "itself drops when real cores are available)", "1");
   try {
     cli.parse(argc, argv);
   } catch (const std::exception& e) {
@@ -44,12 +40,10 @@ int main(int argc, char** argv) {
   const auto max_procs =
       static_cast<std::size_t>(cli.get_int("max-procs", 16));
   const double loaded_fraction = cli.get_double("loaded-fraction", 0.15);
-  const auto intra_threads =
-      static_cast<std::size_t>(cli.get_int("intra-threads", 1));
   const auto system = bench::make_problem(spec);
 
   util::Table table("Figure 5: execution times (s) on a homogeneous cluster");
-  table.set_header({"processors", "intra", "without LB", "with LB", "ratio",
+  table.set_header({"processors", "without LB", "with LB", "ratio",
                     "failed"});
 
   util::OnlineStats ratio_stats;
@@ -62,18 +56,15 @@ int main(int argc, char** argv) {
       params.seed = seed;
       return grid::make_homogeneous_cluster(params);
     };
-    auto no_lb_config = bench::engine_config(spec, core::Scheme::kAIAC, false);
-    no_lb_config.intra_threads = intra_threads;
-    const auto no_lb =
-        bench::run_series(system, no_lb_config, factory, repeats);
-    auto lb_config = bench::engine_config(spec, core::Scheme::kAIAC, true);
-    lb_config.intra_threads = intra_threads;
-    const auto with_lb =
-        bench::run_series(system, lb_config, factory, repeats);
+    const auto no_lb = bench::run_series(
+        system, bench::engine_config(spec, core::Scheme::kAIAC, false),
+        factory, repeats);
+    const auto with_lb = bench::run_series(
+        system, bench::engine_config(spec, core::Scheme::kAIAC, true),
+        factory, repeats);
     const double ratio = no_lb.mean() / with_lb.mean();
     ratio_stats.add(ratio);
-    table.add_row({std::to_string(procs), std::to_string(intra_threads),
-                   util::Table::num(no_lb.mean()),
+    table.add_row({std::to_string(procs), util::Table::num(no_lb.mean()),
                    util::Table::num(with_lb.mean()),
                    util::Table::num(ratio, 2),
                    bench::failed_cell(no_lb, with_lb)});

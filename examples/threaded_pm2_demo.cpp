@@ -26,9 +26,6 @@ int main(int argc, char** argv) {
   util::CliParser cli("PM2-like threaded backend demo");
   cli.describe("threads", "worker threads (virtual processors)", "4");
   cli.describe("grid-points", "Brusselator grid points", "48");
-  cli.describe("intra-threads", "intra-processor chunk count; each "
-               "processor thread attaches a worker pool capped against "
-               "its hardware share", "1");
   runtime::describe_chaos_cli(cli);
   try {
     cli.parse(argc, argv);
@@ -55,8 +52,6 @@ int main(int argc, char** argv) {
   config.balancer.trigger_period = 3;
   config.balancer.threshold_ratio = 1.5;
   config.balancer.min_components = 3;
-  config.intra_threads =
-      static_cast<std::size_t>(cli.get_int("intra-threads", 1));
   config.faults = runtime::fault_config_from_cli(cli);
 
   // Sequential reference for validation.

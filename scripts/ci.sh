@@ -48,9 +48,9 @@ tsan() {
   # The net label is deliberately absent here: its tests fork worker
   # processes, and TSan's runtime does not support instrumenting across
   # fork+exec-less multiprocess trees (the child inherits a poisoned
-  # shadow). The net workers' intra-process threading is the same code
-  # TSan already covers via the runtime/algo labels; the cross-process
-  # paths get ASan+UBSan below instead.
+  # shadow). Each net worker runs a single thread over the same algo
+  # layer and runtime pools TSan already covers via the runtime/algo
+  # labels; the cross-process paths get ASan+UBSan below instead.
   AIAC_CHAOS_SEEDS="${AIAC_CHAOS_SEEDS:-25}" \
   AIAC_CHECK_SCHEDULES="${AIAC_CHECK_SCHEDULES:-200}" \
   TSAN_OPTIONS="halt_on_error=1" \

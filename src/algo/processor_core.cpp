@@ -295,7 +295,6 @@ CoreFleet::CoreFleet(const ode::OdeSystem& system, const FleetConfig& config) {
     bc.mode = config.solve_mode;
     bc.newton = config.newton;
     bc.receive_filter = config.receive_filter;
-    bc.intra_chunks = config.intra_chunks;
     cores_.emplace_back(p, config.processors, system, bc, params, *estimator_,
                         *balancer_);
   }

@@ -217,6 +217,28 @@ class ProcessorCore {
   bool has_pending_migrations() const noexcept {
     return !pending_from_left_.empty() || !pending_from_right_.empty();
   }
+  /// The coordinator verification veto every driver shares: locally
+  /// converged, no queued migration, and no delivered-but-unfolded
+  /// boundary update that would move the ghost rows by more than the
+  /// tolerance. Steady-state traffic (updates within tolerance of what
+  /// the streak was built on) does not veto, so ranks that keep
+  /// exchanging converged values can still halt. Drivers add only their
+  /// link query (payloads in flight on an adjacent link); data still in
+  /// flight stays invisible, as for a real process.
+  bool can_confirm() const {
+    return locally_converged() && !has_pending_migrations() &&
+           pending_input_disturbance() <= params_.tolerance;
+  }
+  /// Event-driven idling: the iterate that produced `last` changed
+  /// nothing, nothing is buffered, and the core is locally converged, so
+  /// iterating again before new input arrives is a no-op. The sim and net
+  /// drivers park such a rank (AIAC with EngineConfig::event_driven_idle)
+  /// until input arrives; the thread driver idles a wider set of ranks
+  /// (see its idle_if_quiescent).
+  bool can_park(const ode::WaveformBlock::IterationStats& last) const {
+    return last.residual == 0.0 && last.newton_iterations == 0 &&
+           inputs_quiescent() && locally_converged();
+  }
   /// Max-norm change the buffered (delivered, not yet absorbed) boundary
   /// inboxes would make to the block's ghost rows if folded in now; 0 when
   /// both inboxes are empty. Convergence detection uses this to tell
@@ -239,14 +261,6 @@ class ProcessorCore {
   std::size_t components_out() const noexcept { return components_out_; }
   std::size_t lb_bytes_out() const noexcept { return lb_bytes_out_; }
   const ode::WaveformBlock& block() const noexcept { return block_; }
-
-  /// Hands this core's block an intra-processor worker pool for its
-  /// sharded iterate (nullptr detaches). Drivers own the pools — thread
-  /// budgets depend on how many cores share the machine, which only the
-  /// driver knows. The pool must outlive the core or be detached first.
-  void set_worker_pool(runtime::WorkerPool* pool) noexcept {
-    block_.set_worker_pool(pool);
-  }
 
  private:
   std::size_t rank_;
@@ -312,12 +326,6 @@ struct FleetConfig {
   ode::LocalSolveMode solve_mode = ode::LocalSolveMode::kBlockNewton;
   ode::NewtonOptions newton = {};
   double receive_filter = 0.0;
-  /// Chunk count for every core's sharded iterate (see
-  /// WaveformBlockConfig::intra_chunks — numerics only; worker pools are
-  /// attached separately by the driver via ProcessorCore::
-  /// set_worker_pool, since thread budgets are a driver concern).
-  std::size_t intra_chunks = 1;
-
   double tolerance = 1e-8;
   std::size_t persistence = 3;
   lb::EstimatorKind estimator = lb::EstimatorKind::kResidual;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <thread>
 
 #include "algo/processor_core.hpp"
 
@@ -24,18 +23,7 @@ algo::FleetConfig fleet_config(const EngineConfig& config,
   fc.persistence = config.persistence;
   fc.estimator = config.estimator;
   fc.balancer = config.balancer;
-  fc.intra_chunks = config.intra_threads;
   return fc;
-}
-
-std::size_t intra_pool_workers(const EngineConfig& config,
-                               std::size_t ranks_sharing_host) {
-  if (config.intra_threads <= 1) return 0;
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  const std::size_t share = hw / std::max<std::size_t>(1, ranks_sharing_host);
-  return std::min(config.intra_threads - 1,
-                  share > 0 ? share - 1 : std::size_t{0});
 }
 
 std::optional<ode::BoundaryDeltaSender::Config> delta_config(

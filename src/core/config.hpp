@@ -50,14 +50,11 @@ struct EngineConfig {
   double t_end = 10.0;
   ode::LocalSolveMode solve_mode = ode::LocalSolveMode::kBlockNewton;
   ode::NewtonOptions newton = {};
-  /// Intra-processor parallelism: each processor's iterate is sharded
-  /// into this many row chunks (a *numerics* parameter — the chunk count
-  /// alone determines the per-iterate values, see WaveformBlockConfig::
-  /// intra_chunks), and the driver attaches a runtime::WorkerPool whose
-  /// worker-thread count is capped against the machine so processors ×
-  /// intra_threads never oversubscribes hardware_concurrency (DESIGN.md
-  /// §13; on a saturated machine the chunks simply run inline, with
-  /// identical results). 1 = the classic serial iterate.
+  /// No engine reads this: every engine solves a rank's block whole, as
+  /// one block-Newton system per time step. The sharded iterate is a
+  /// WaveformBlock facility (WaveformBlockConfig::intra_chunks); only the
+  /// end-to-end benchmark still sets this field, to size its worker-pool
+  /// probes.
   std::size_t intra_threads = 1;
 
   // Outer convergence.
@@ -173,15 +170,6 @@ struct EngineResult {
 /// when the partition is speed-weighted and none were given.
 algo::FleetConfig fleet_config(const EngineConfig& config,
                                std::size_t processors);
-
-/// Worker threads for one intra-iterate pool (DESIGN.md §13), given how
-/// many ranks share this host's hardware threads: each rank's dispatching
-/// thread plus its workers stay within an even share of
-/// hardware_concurrency, so ranks_sharing_host * (1 + workers) never
-/// oversubscribes the machine. 0 (chunks run inline, with identical
-/// results) when intra_threads <= 1 or the share leaves no room.
-std::size_t intra_pool_workers(const EngineConfig& config,
-                               std::size_t ranks_sharing_host);
 
 /// The delta planner settings the byte accounting runs with; empty when
 /// delta boundaries are disabled.

@@ -15,7 +15,6 @@
 #include "algo/trace_sink.hpp"
 #include "des/simulator.hpp"
 #include "trace/execution_trace.hpp"
-#include "runtime/worker_pool.hpp"
 #include "util/log.hpp"
 
 namespace aiac::core {
@@ -55,16 +54,6 @@ class SimEngine final : public algo::Transport,
         fc.speeds[p] = grid.machine_of(p).peak_speed();
     }
     fleet_ = std::make_unique<algo::CoreFleet>(system, fc);
-
-    // Intra-processor parallelism: the event loop runs one core at a
-    // time on this thread, so a single shared pool serves every core's
-    // chunk job, sized as for one rank on the host.
-    if (const std::size_t workers = intra_pool_workers(config, 1);
-        workers > 0) {
-      intra_pool_ = std::make_unique<runtime::WorkerPool>(workers);
-      for (std::size_t p = 0; p < nprocs; ++p)
-        fleet_->core(p).set_worker_pool(intra_pool_.get());
-    }
 
     procs_.resize(nprocs);
     lb_link_busy_.assign(nprocs > 0 ? nprocs - 1 : 0, false);
@@ -160,18 +149,13 @@ class SimEngine final : public algo::Transport,
     return fleet_->core(rank).locally_converged();
   }
 
-  /// Coordinator verification: a node confirms only when nothing it has
-  /// buffered could break its convergence report — no queued migration,
-  /// and no delivered-but-unfolded boundary update that differs from the
-  /// stored ghosts by more than the tolerance. Steady-state traffic
-  /// (updates within tolerance of what the streak was built on) does not
-  /// veto, so nodes that keep exchanging converged values can still halt.
-  /// In-flight messages stay invisible, as for a real process; the
-  /// verification round-trip is what makes winning that race unlikely.
+  /// Coordinator verification: the shared core veto alone. A delivery
+  /// reaches the core the instant its event fires, so nothing delivered
+  /// is hidden from it; messages still in flight stay invisible, as for
+  /// a real process, and the verification round-trip is what makes
+  /// winning that race unlikely.
   bool confirm_converged(std::size_t rank) const override {
-    const algo::ProcessorCore& core = fleet_->core(rank);
-    return core.locally_converged() && !core.has_pending_migrations() &&
-           core.pending_input_disturbance() <= config_.tolerance;
+    return fleet_->core(rank).can_confirm();
   }
 
   void broadcast_halt() override {
@@ -379,10 +363,8 @@ class SimEngine final : public algo::Transport,
 
     // Event-driven idling: nothing changed and nothing new arrived — sleep
     // until the next message instead of spinning through no-op iterations.
-    const bool no_progress =
-        stats.residual == 0.0 && stats.newton_iterations == 0;
     if (config_.scheme == Scheme::kAIAC && config_.event_driven_idle &&
-        no_progress && core.inputs_quiescent() && core.locally_converged()) {
+        core.can_park(stats)) {
       proc.dormant = true;
       return;
     }
@@ -482,10 +464,6 @@ class SimEngine final : public algo::Transport,
   trace::ExecutionTrace* trace_;
   des::Simulator sim_;
   std::unique_ptr<algo::CoreFleet> fleet_;
-  /// Shared intra-iterate worker pool (null when intra_threads <= 1 or
-  /// the machine has a single hardware thread). The event loop runs one
-  /// core's iterate at a time on this thread, so one pool serves all.
-  std::unique_ptr<runtime::WorkerPool> intra_pool_;
   std::unique_ptr<algo::DetectionProtocol> protocol_;
 
   std::vector<Proc> procs_;

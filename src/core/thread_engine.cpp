@@ -21,7 +21,6 @@
 #include "runtime/ordered_mutex.hpp"
 #include "runtime/notifier.hpp"
 #include "runtime/thread_team.hpp"
-#include "runtime/worker_pool.hpp"
 #include "trace/execution_trace.hpp"
 #include "util/log.hpp"
 
@@ -85,19 +84,6 @@ class ThreadEngine final : public algo::Transport,
     // vector models a deliberately skewed deployment.
     fleet_ = std::make_unique<algo::CoreFleet>(
         system, fleet_config(config, processors));
-
-    // Intra-processor parallelism: each processor thread gets its own
-    // pool (a core's iterate runs under its block mutex, so pools are
-    // never shared and pool workers take no engine locks), capped at the
-    // hardware share left per processor thread.
-    if (const std::size_t workers = intra_pool_workers(config, processors);
-        workers > 0) {
-      intra_pools_.reserve(processors);
-      for (std::size_t p = 0; p < processors; ++p) {
-        intra_pools_.push_back(std::make_unique<runtime::WorkerPool>(workers));
-        fleet_->core(p).set_worker_pool(intra_pools_.back().get());
-      }
-    }
 
     procs_ = std::vector<ThreadProc>(processors);
     // Lock-order ranks: detection mutex below every block mutex (a
@@ -210,14 +196,16 @@ class ThreadEngine final : public algo::Transport,
     return procs_[rank].locally_converged.load();
   }
 
-  /// Coordinator verification, aligned with the other two backends: a
-  /// node whose migration mailbox is non-empty (or whose adjacent links
-  /// carry an in-flight payload) may not confirm — its convergence
-  /// mirror predates work it is already committed to absorbing. All
-  /// reads are lock-free mirrors; the block lock is never taken here.
+  /// Coordinator verification: the shared core veto, plus this driver's
+  /// link query — a payload in the migration mailbox or on an adjacent
+  /// link is work the node is already committed to absorbing.
+  /// drain_control has just folded the boundaries waiting in the slots
+  /// into the core's inbox, so the veto weighs every delivered update.
+  /// Runs in `rank`'s own thread, the only thread that writes its core,
+  /// between two iterations, so the core is read without its block lock.
   bool confirm_converged(std::size_t rank) const override {
+    if (!fleet_->core(rank).can_confirm()) return false;
     const ThreadProc& proc = procs_[rank];
-    if (!proc.locally_converged.load()) return false;
     if (!proc.lb_from_left.empty() || !proc.lb_from_right.empty())
       return false;
     if (rank > 0 && lb_link_busy_[rank - 1].load()) return false;
@@ -271,16 +259,7 @@ class ThreadEngine final : public algo::Transport,
           core.enqueue_migration(Side::kLeft, std::move(*payload));
         while (auto payload = proc.lb_from_right.try_pop())
           core.enqueue_migration(Side::kRight, std::move(*payload));
-        // The core copies boundary data into its persistent inbox, so the
-        // message's rows go straight back to the pool.
-        if (auto msg = proc.from_left.take()) {
-          core.ingest_boundary(Side::kLeft, *msg);
-          pool_.release(std::move(msg->rows));
-        }
-        if (auto msg = proc.from_right.take()) {
-          core.ingest_boundary(Side::kRight, *msg);
-          pool_.release(std::move(msg->rows));
-        }
+        ingest_slots(proc, core);
         const auto begin = core.begin_iteration();
         // The link stays busy until the receiver absorbs the payload,
         // which serializes migrations per link.
@@ -338,11 +317,33 @@ class ThreadEngine final : public algo::Transport,
     }
   }
 
+  /// Moves the boundaries waiting in `proc`'s slots into the core's
+  /// inbox (caller holds proc.block_mutex). The core copies the data into
+  /// its persistent inbox, so the rows go straight back to the pool.
+  void ingest_slots(ThreadProc& proc, algo::ProcessorCore& core) {
+    if (auto msg = proc.from_left.take()) {
+      core.ingest_boundary(Side::kLeft, *msg);
+      pool_.release(std::move(msg->rows));
+    }
+    if (auto msg = proc.from_right.take()) {
+      core.ingest_boundary(Side::kRight, *msg);
+      pool_.release(std::move(msg->rows));
+    }
+  }
+
   /// Handles queued detection frames in processor `p`'s thread. Must be
   /// called without holding the caller's block lock: a frame may complete
-  /// the halt decision, which takes every block lock.
+  /// the halt decision, which takes every block lock. A verification
+  /// request must weigh the boundaries already delivered, so the slots
+  /// are folded into the core's inbox just before one is handled, under
+  /// the block lock alone.
   void drain_control(std::size_t p) {
-    while (auto frame = procs_[p].control.try_pop()) {
+    ThreadProc& proc = procs_[p];
+    while (auto frame = proc.control.try_pop()) {
+      if (frame->kind == algo::ControlFrame::Kind::kVerifyRequest) {
+        std::lock_guard<runtime::OrderedMutex> lock(proc.block_mutex);
+        ingest_slots(proc, fleet_->core(p));
+      }
       std::lock_guard<runtime::OrderedMutex> lock(detection_mutex_);
       protocol_->handle_control(p, *frame);
     }
@@ -431,6 +432,16 @@ class ThreadEngine final : public algo::Transport,
     if (!no_progress) return;
     // Sleep until a message arrives or the bounded timeout fires.
     //
+    // Unlike ProcessorCore::can_park, which the sim and net drivers use,
+    // this also idles a rank that is still building its persistence
+    // streak. No-op iterations take about a microsecond here, so without
+    // the wait a rank that just changed its block reaches a 3-iteration
+    // streak and confirms a verification before its neighbors have taken
+    // the boundary carrying that change; a neighbor that already acked
+    // then halts the fleet on stale ghosts. Parking only converged ranks
+    // does exactly that in about one solve in ten of the 3-rank
+    // configuration in tests/test_net_parity.cpp.
+    //
     // Drain-then-sleep audit (see tests/test_runtime_stress.cpp for the
     // regression hammer): this check-empty-then-wait sequence cannot lose
     // a wakeup because the predicate is re-evaluated under the Notifier's
@@ -467,14 +478,7 @@ class ThreadEngine final : public algo::Transport,
       });
       drain_control(p);
       std::lock_guard<runtime::OrderedMutex> lock(proc.block_mutex);
-      if (auto msg = proc.from_left.take()) {
-        core.ingest_boundary(Side::kLeft, *msg);
-        pool_.release(std::move(msg->rows));
-      }
-      if (auto msg = proc.from_right.take()) {
-        core.ingest_boundary(Side::kRight, *msg);
-        pool_.release(std::move(msg->rows));
-      }
+      ingest_slots(proc, core);
     }
   }
 
@@ -519,11 +523,6 @@ class ThreadEngine final : public algo::Transport,
   /// internal mutex is a leaf (nothing is acquired while it is held), so
   /// it stays outside the OrderedMutex rank order.
   runtime::BufferPool pool_;
-  /// Per-processor intra-iterate worker pools (empty when intra_threads
-  /// <= 1 or the hardware share leaves no room for extra threads). Pools
-  /// are only dispatched from inside run(), whose threads are joined
-  /// before destruction, so teardown order vs. the fleet is immaterial.
-  std::vector<std::unique_ptr<runtime::WorkerPool>> intra_pools_;
   std::vector<ThreadProc> procs_;
   /// Per-directed-link byte accounting; each worker charges only its own
   /// outgoing links, and the totals are read after join.

@@ -23,7 +23,6 @@
 #include "algo/processor_core.hpp"
 #include "net/wire.hpp"
 #include "runtime/buffer_pool.hpp"
-#include "runtime/worker_pool.hpp"
 
 namespace aiac::net {
 
@@ -96,16 +95,6 @@ class NetWorker final : public FrameSink,
         transport_(rank, processors, transport_config(config, net),
                    byte_pool_, row_pool_, *this),
         t0_(Clock::now()) {
-    // Attach an intra-iterate pool to this rank's core only: the other
-    // fleet cores exist for partition bookkeeping and never iterate in
-    // this process. Every rank is forked onto this host, so all of them
-    // share its hardware threads.
-    if (const std::size_t workers =
-            core::intra_pool_workers(config, processors);
-        workers > 0) {
-      intra_pool_ = std::make_unique<runtime::WorkerPool>(workers);
-      core_.set_worker_pool(intra_pool_.get());
-    }
     // The lower rank starts with each link's token.
     right_link_.hold_token = true;
     // No process holds a global view, so the oracle's quiescent probe is
@@ -158,17 +147,14 @@ class NetWorker final : public FrameSink,
     return core_.locally_converged();
   }
 
-  /// The distributed confirm veto: beyond persistent local convergence,
-  /// nothing may be in flight that could still change this block — a
-  /// queued (unabsorbed) migration, an un-acked outgoing one, or a
-  /// buffered boundary update that would move the ghosts beyond
-  /// tolerance. The un-acked check is what makes migration conservation
-  /// safe across the halt edge: a payload in the TCP stream blocks the
-  /// verification round until its receiver absorbed it.
+  /// The distributed confirm veto: the shared core veto, plus no
+  /// un-acked outgoing migration. The un-acked check is what makes
+  /// migration conservation safe across the halt edge: a payload in the
+  /// TCP stream blocks the verification round until its receiver
+  /// absorbed it.
   bool confirm_converged(std::size_t) const override {
-    return core_.locally_converged() && !core_.has_pending_migrations() &&
-           !left_link_.awaiting_ack && !right_link_.awaiting_ack &&
-           core_.pending_input_disturbance() <= config_.tolerance;
+    return core_.can_confirm() && !left_link_.awaiting_ack &&
+           !right_link_.awaiting_ack;
   }
 
   void broadcast_halt() override {
@@ -448,9 +434,7 @@ class NetWorker final : public FrameSink,
       // no progress with every input quiescent parks until external
       // input arrives, polling at a bounded cadence so detection control
       // keeps flowing.
-      parked = config_.event_driven_idle &&
-               stats.residual == 0.0 && stats.newton_iterations == 0 &&
-               core_.inputs_quiescent() && core_.locally_converged();
+      parked = config_.event_driven_idle && core_.can_park(stats);
       idle_ms = parked ? 2 : 0;
     }
   }
@@ -613,9 +597,6 @@ class NetWorker final : public FrameSink,
   runtime::BufferPool row_pool_;
   algo::CoreFleet fleet_;
   algo::ProcessorCore& core_;
-  /// Intra-iterate worker pool for this rank's core (null when
-  /// intra_threads <= 1 or the per-process hardware share is 1).
-  std::unique_ptr<runtime::WorkerPool> intra_pool_;
   SocketTransport transport_;
   std::unique_ptr<algo::DetectionProtocol> protocol_;
   Clock::time_point t0_;

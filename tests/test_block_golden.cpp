@@ -2,8 +2,7 @@
 // read as one banded implicit-Euler Newton per time step over a rank's
 // rows): fixed-seed virtual-time AIAC runs on the loaded Fig. 5 cluster
 // and on a 16-machine 3-site grid (Table 1's model, 4-row blocks), with
-// and without load balancing, at one and two intra-processor chunks. The
-// expected hashes were recorded with the generic-bound banded LU; the
+// and without load balancing. The expected hashes were recorded with the generic-bound banded LU; the
 // fixed-bandwidth kernels and the branch-free Jacobian assembly must
 // reproduce them bit for bit — solution, virtual execution time, total
 // work and iteration counts — since the virtual clock and every
@@ -101,34 +100,34 @@ std::uint64_t detection_hash(core::DetectionMode detection,
   return golden::traffic_hash(result);
 }
 
-// Block mode is a chunk-level block-Jacobi, so the chunk count is a
-// numerics parameter and each intra setting has its own hash.
+// Every engine solves a rank's block whole and no engine reads
+// EngineConfig::intra_threads, so both settings share one hash.
 TEST(BlockGolden, Fig5ClusterWithoutBalancing) {
   EXPECT_EQ(run_hash(Platform::kFig5Cluster, false, 1),
             0x12d90df0f2d851a1ULL);
   EXPECT_EQ(run_hash(Platform::kFig5Cluster, false, 2),
-            0x2b712f9d964036f3ULL);
+            0x12d90df0f2d851a1ULL);
 }
 
 TEST(BlockGolden, Fig5ClusterWithBalancing) {
   EXPECT_EQ(run_hash(Platform::kFig5Cluster, true, 1),
             0x396f373165ce1cd0ULL);
   EXPECT_EQ(run_hash(Platform::kFig5Cluster, true, 2),
-            0xfcc4c1ffc78ebd85ULL);
+            0x396f373165ce1cd0ULL);
 }
 
 TEST(BlockGolden, Grid16WithoutBalancing) {
   EXPECT_EQ(run_hash(Platform::kGrid16, false, 1),
             0x150794edac270041ULL);
   EXPECT_EQ(run_hash(Platform::kGrid16, false, 2),
-            0x3d72dce8f0eda1f8ULL);
+            0x150794edac270041ULL);
 }
 
 TEST(BlockGolden, Grid16WithBalancing) {
   EXPECT_EQ(run_hash(Platform::kGrid16, true, 1),
             0x67d97d8a5315a673ULL);
   EXPECT_EQ(run_hash(Platform::kGrid16, true, 2),
-            0x4ae56082cd58b0b5ULL);
+            0x67d97d8a5315a673ULL);
 }
 
 TEST(BlockGolden, Fig5ClusterCoordinatorDetection) {

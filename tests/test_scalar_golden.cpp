@@ -1,6 +1,6 @@
 // Golden trajectories of the scalar-Jacobi (paper Algorithm 1) path: a
 // fixed-seed virtual-time AIAC run on the loaded Fig. 5 cluster, with and
-// without load balancing, at one and two intra-processor chunks. The
+// without load balancing, at intra_threads 1 and 2. The
 // expected hashes were recorded with the component-outer scalar kernel;
 // the lockstep batched kernel must reproduce them bit for bit — solution,
 // virtual execution time, total work and iteration counts — since the
@@ -53,7 +53,7 @@ std::uint64_t run_hash(bool load_balancing, std::size_t intra) {
   return golden::result_hash(result);
 }
 
-// Scalar mode is chunk-invariant, so both chunk counts share one hash.
+// No engine reads intra_threads, so both settings share one hash.
 TEST(ScalarGolden, Fig5ClusterWithoutBalancing) {
   EXPECT_EQ(run_hash(false, 1), 0xd20194eaf512a236ULL);
   EXPECT_EQ(run_hash(false, 2), 0xd20194eaf512a236ULL);

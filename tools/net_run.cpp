@@ -59,8 +59,6 @@ core::EngineConfig config_from_cli(const util::CliParser& cli) {
   config.balancer.min_components =
       static_cast<std::size_t>(cli.get_int("lb-min-components", 3));
   config.persistence = static_cast<std::size_t>(cli.get_int("persistence", 3));
-  config.intra_threads =
-      static_cast<std::size_t>(cli.get_int("intra-threads", 1));
   // The socket backend always runs the coordinator protocol; the
   // --compare-sim reference runs it too.
   config.detection = core::DetectionMode::kCoordinator;
@@ -158,9 +156,6 @@ int main(int argc, char** argv) {
   cli.describe("lb-min-components", "famine guard: minimum keep", "3");
   cli.describe("persistence", "consecutive quiet iterations before local"
                " convergence is reported", "3");
-  cli.describe("intra-threads", "intra-processor chunk count; each rank"
-               " attaches a worker pool capped against its hardware share",
-               "1");
   cli.describe("deadline", "parent watchdog (seconds)", "120");
   cli.describe("kill-rank", "SIGKILL this rank mid-run (fault demo)", "-1");
   cli.describe("kill-after", "seconds into the run to kill", "0.25");
