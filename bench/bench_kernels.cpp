@@ -11,7 +11,7 @@
 // Absolute nanoseconds are hardware-dependent; the regression guard
 // (`--baseline=FILE`, run by `scripts/ci.sh bench-smoke`) therefore fails
 // only on the hardware-normalized metrics — allocation counts and the
-// speedup ratios of the workspace/chord kernels over the fresh-allocation
+// speedup ratios of the workspace kernel over the fresh-allocation
 // kernel — plus same-machine ns regressions beyond 25%.
 #include <algorithm>
 #include <atomic>
@@ -307,7 +307,7 @@ int compare_against_baseline(const std::string& baseline_path,
 /// (workers = min(chunks - 1, hardware_concurrency - 1); on a
 /// single-core host the pool degenerates to inline chunked execution).
 /// The block is converged first, so each forced sweep performs
-/// the same chord-Newton re-solve of every step — a stable, repeatable
+/// the same fresh-Newton re-solve of every step — a stable, repeatable
 /// workload with zero steady-state allocations.
 struct SweepBenchStats {
   double seconds = 0.0;
@@ -513,40 +513,6 @@ int main(int argc, char** argv) {
     const double drift = max_abs_diff(sweep.final_state, fresh.final_state);
     if (drift > 1e-9) {
       std::cerr << "bench_kernels: workspace kernel diverged from fresh by "
-                << drift << "\n";
-      return 1;
-    }
-  }
-
-  // -- Kernel 3: chord Newton — the factorized Jacobian is reused across
-  //    Newton iterations and time steps until the convergence-rate refresh
-  //    policy triggers.
-  {
-    ode::NewtonWorkspace ws;
-    const auto sweep = run_sweep(
-        prob, repeats,
-        [&ws](const KernelProblem& kp, std::span<const double> y_prev,
-              std::span<double> y_next, std::span<const double> gl,
-              std::span<const double> gr, double t_next) {
-          ode::NewtonOptions opts;
-          opts.tolerance = 1e-10;
-          opts.jacobian_reuse = ode::JacobianReuse::kChordAcrossSteps;
-          const auto r = ode::block_implicit_euler_step(
-              kp.system, kp.first, y_prev, y_next, gl, gr, t_next, kp.dt(),
-              opts, ws);
-          return r.newton_iterations;
-        });
-    BenchResult r;
-    r.name = "block_newton_chord";
-    r.ns_per_step = sweep.seconds * 1e9 / steps_total;
-    r.newton_iterations_per_step =
-        static_cast<double>(sweep.newton_iterations) / steps_total;
-    r.allocs_per_step = static_cast<double>(sweep.allocations) / steps_total;
-    r.speedup_vs_fresh = fresh.seconds / sweep.seconds;
-    results.push_back(r);
-    const double drift = max_abs_diff(sweep.final_state, fresh.final_state);
-    if (drift > 1e-8) {
-      std::cerr << "bench_kernels: chord kernel diverged from fresh by "
                 << drift << "\n";
       return 1;
     }

@@ -24,6 +24,11 @@
 #   scripts/ci.sh bench-e2e    # end-to-end benchmark package (aiacbench/):
 #                              # every workload at smoke size, then the
 #                              # checker self-test
+#   scripts/ci.sh model-check  # model_check smokes: exhaustive 3-iteration
+#                              # tree, random sweep, and the famine mutant,
+#                              # which the checker must catch
+#   scripts/ci.sh net-smoke    # net_run: 2-rank loopback solve, then the
+#                              # same against the simulated backend
 #
 # The sanitizer jobs run a reduced chaos sweep (AIAC_CHAOS_SEEDS): the
 # instrumented builds are ~10x slower and the 200-seed property sweep
@@ -146,6 +151,31 @@ bench_e2e() {
   python3 aiacbench/run.py --self-test
 }
 
+model_check() {
+  echo "==> model-check: exhaustive + random smokes, famine mutant"
+  cmake -B build -S . >/dev/null
+  cmake --build build --target model_check -j"$jobs"
+  # Full decision tree at a 3-iteration horizon.
+  ./build/tools/model_check --mode=exhaustive --iters=3 --schedules=100000
+  ./build/tools/model_check --mode=random --schedules=2000 --seed=42
+  # Mutation self-test: the famine mutant must be caught (non-zero exit).
+  if ./build/tools/model_check --mode=random --mutate-famine \
+      --seed=7 --schedules=200; then
+    echo "famine mutant was NOT caught" >&2
+    exit 1
+  fi
+}
+
+net_smoke() {
+  echo "==> net-smoke: 2-rank loopback solves"
+  cmake -B build -S . >/dev/null
+  cmake --build build --target net_run -j"$jobs"
+  # AIAC + LB, coordinator detection.
+  ./build/tools/net_run --ranks=2 --deadline=120
+  # Against the simulated backend.
+  ./build/tools/net_run --ranks=2 --lb=false --compare-sim --deadline=120
+}
+
 case "$stage" in
   tier1) tier1 ;;
   tsan) tsan ;;
@@ -155,8 +185,11 @@ case "$stage" in
   bench-smoke) bench_smoke ;;
   bench-comms) bench_comms ;;
   bench-e2e) bench_e2e ;;
-  all) tier1; tsan; asan; ubsan; lint; bench_smoke; bench_comms; bench_e2e ;;
-  *) echo "unknown stage: $stage (tier1|tsan|asan|ubsan|lint|bench-smoke|bench-comms|bench-e2e|all)" >&2
+  model-check) model_check ;;
+  net-smoke) net_smoke ;;
+  all) tier1; tsan; asan; ubsan; lint; bench_smoke; bench_comms; bench_e2e
+       model_check; net_smoke ;;
+  *) echo "unknown stage: $stage (tier1|tsan|asan|ubsan|lint|bench-smoke|bench-comms|bench-e2e|model-check|net-smoke|all)" >&2
      exit 2 ;;
 esac
 echo "==> ci: all requested stages green"

@@ -199,7 +199,6 @@ class ProcessorCore {
   /// updates) that the last residual does not cover yet; clears when the
   /// covering iterate finishes.
   bool residual_stale() const noexcept { return residual_stale_; }
-  std::size_t under_tol_streak() const noexcept { return under_tol_streak_; }
   /// The persistence streak is a convergence claim about the rows and
   /// ghosts the streak's residuals were measured on. While the residual
   /// is stale the claim does not transfer to the current state, so the

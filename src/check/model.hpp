@@ -141,7 +141,6 @@ class CheckedModel final : public algo::Transport,
   std::size_t famine_floor(std::size_t p) const;
   /// Migration payloads in flight toward `p` on `side` (discipline: ≤ 1).
   std::size_t migration_channel_depth(std::size_t p, algo::Side side) const;
-  bool link_busy(std::size_t link) const { return lb_link_busy_[link]; }
   bool halted() const noexcept { return halted_; }
   const std::optional<HaltRecord>& halt_record() const noexcept {
     return halt_record_;

@@ -104,7 +104,10 @@ struct EngineConfig {
   /// nothing and whose inbox is empty sleeps until the next message
   /// arrives. The paper's runtime spins through such no-op iterations
   /// instead; disable to reproduce that behaviour (identical numerics,
-  /// busy-looking execution flow).
+  /// busy-looking execution flow). Only the sim and net drivers read it.
+  /// The thread driver ignores it: it idles any no-progress AIAC rank for
+  /// at most 2 ms, converged or not, because its coordinator detection is
+  /// sound only by that timing (see idle_if_quiescent in thread_engine.cpp).
   bool event_driven_idle = true;
 
   // Fault injection (threaded backend only; the virtual-time engine's

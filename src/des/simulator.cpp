@@ -1,56 +1,31 @@
 #include "des/simulator.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace aiac::des {
 
-EventId Simulator::schedule_at(SimTime t, std::function<void()> fn) {
+void Simulator::schedule_at(SimTime t, std::function<void()> fn) {
   if (!(t >= now_) || std::isnan(t))
     throw std::invalid_argument("Simulator::schedule_at: time in the past");
-  const std::uint64_t seq = next_sequence_++;
-  queue_.push(Event{t, seq, std::move(fn)});
-  return EventId{seq};
+  queue_.push(Event{t, next_sequence_++, std::move(fn)});
 }
 
-EventId Simulator::schedule_after(SimTime delay, std::function<void()> fn) {
+void Simulator::schedule_after(SimTime delay, std::function<void()> fn) {
   if (!(delay >= 0.0) || std::isnan(delay))
     throw std::invalid_argument("Simulator::schedule_after: negative delay");
-  return schedule_at(now_ + delay, std::move(fn));
-}
-
-bool Simulator::is_cancelled(std::uint64_t seq) const noexcept {
-  return std::find(cancelled_.begin(), cancelled_.end(), seq) !=
-         cancelled_.end();
-}
-
-bool Simulator::cancel(EventId id) {
-  if (id.value == 0 || id.value >= next_sequence_) return false;
-  if (is_cancelled(id.value)) return false;
-  cancelled_.push_back(id.value);
-  ++cancelled_in_queue_;
-  return true;
+  schedule_at(now_ + delay, std::move(fn));
 }
 
 bool Simulator::step() {
-  while (!queue_.empty() && !stopped_) {
-    // priority_queue::top returns const&; move out via const_cast is the
-    // standard idiom to avoid copying the std::function.
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    if (is_cancelled(ev.sequence)) {
-      cancelled_.erase(
-          std::remove(cancelled_.begin(), cancelled_.end(), ev.sequence),
-          cancelled_.end());
-      --cancelled_in_queue_;
-      continue;
-    }
-    now_ = ev.time;
-    ++executed_;
-    ev.fn();
-    return true;
-  }
-  return false;
+  if (queue_.empty() || stopped_) return false;
+  // priority_queue::top returns const&; move out via const_cast is the
+  // standard idiom to avoid copying the std::function.
+  Event ev = std::move(const_cast<Event&>(queue_.top()));
+  queue_.pop();
+  now_ = ev.time;
+  ++executed_;
+  ev.fn();
+  return true;
 }
 
 void Simulator::run(std::uint64_t max_events) {
@@ -59,18 +34,6 @@ void Simulator::run(std::uint64_t max_events) {
     if (budget-- == 0)
       throw std::runtime_error("Simulator::run: event budget exhausted");
   }
-}
-
-void Simulator::run_until(SimTime t_end, std::uint64_t max_events) {
-  std::uint64_t budget = max_events;
-  while (!queue_.empty() && !stopped_) {
-    // Peek at the next non-cancelled event's time.
-    if (queue_.top().time > t_end) break;
-    if (!step()) break;
-    if (budget-- == 0)
-      throw std::runtime_error("Simulator::run_until: event budget exhausted");
-  }
-  if (!stopped_) now_ = std::max(now_, t_end);
 }
 
 }  // namespace aiac::des

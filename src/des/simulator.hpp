@@ -25,12 +25,6 @@ namespace aiac::des {
 /// Virtual time in seconds.
 using SimTime = double;
 
-/// Opaque handle used to cancel a scheduled event.
-struct EventId {
-  std::uint64_t value = 0;
-  bool operator==(const EventId&) const = default;
-};
-
 class Simulator {
  public:
   Simulator() = default;
@@ -41,14 +35,10 @@ class Simulator {
   SimTime now() const noexcept { return now_; }
 
   /// Schedules `fn` at absolute virtual time `t` (must be >= now()).
-  EventId schedule_at(SimTime t, std::function<void()> fn);
+  void schedule_at(SimTime t, std::function<void()> fn);
 
   /// Schedules `fn` after a non-negative delay.
-  EventId schedule_after(SimTime delay, std::function<void()> fn);
-
-  /// Cancels a pending event. Cancelling an already-executed or unknown
-  /// event is a no-op. Returns true if the event was still pending.
-  bool cancel(EventId id);
+  void schedule_after(SimTime delay, std::function<void()> fn);
 
   /// Executes the next event; returns false when the queue is empty or the
   /// simulation was stopped.
@@ -58,15 +48,11 @@ class Simulator {
   /// exhausted (a runaway-loop guard; throws std::runtime_error then).
   void run(std::uint64_t max_events = UINT64_MAX);
 
-  /// Runs until virtual time exceeds `t_end` (events at <= t_end execute).
-  void run_until(SimTime t_end, std::uint64_t max_events = UINT64_MAX);
-
-  /// Makes run()/run_until() return after the current event completes.
+  /// Makes run() return after the current event completes.
   void stop() noexcept { stopped_ = true; }
   bool stopped() const noexcept { return stopped_; }
 
   std::uint64_t events_executed() const noexcept { return executed_; }
-  std::size_t pending_events() const noexcept { return queue_.size() - cancelled_in_queue_; }
 
  private:
   struct Event {
@@ -86,11 +72,6 @@ class Simulator {
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  // Cancellation is lazy: ids land in this set and are skipped on pop.
-  std::vector<std::uint64_t> cancelled_;  // sorted insertion not needed; small
-  std::size_t cancelled_in_queue_ = 0;
-
-  bool is_cancelled(std::uint64_t seq) const noexcept;
 };
 
 }  // namespace aiac::des

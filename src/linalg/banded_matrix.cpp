@@ -29,10 +29,6 @@ double& BandedMatrix::ref(std::size_t r, std::size_t c) {
   return data_[offset(r, c)];
 }
 
-void BandedMatrix::set_zero() noexcept {
-  for (double& x : data_) x = 0.0;
-}
-
 void BandedMatrix::reshape(std::size_t n, std::size_t lower,
                            std::size_t upper) {
   if (n == n_ && lower == kl_ && upper == ku_) return;

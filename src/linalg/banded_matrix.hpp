@@ -32,8 +32,6 @@ class BandedMatrix {
   /// Mutable access inside the band only; throws std::out_of_range outside.
   double& ref(std::size_t r, std::size_t c);
 
-  void set_zero() noexcept;
-
   /// Reshapes to n x n with the given bandwidths, reusing the existing
   /// allocation whenever it is large enough (the workspace-reuse hot path:
   /// a Newton workspace reshapes its Jacobian once per block-size change

@@ -297,12 +297,6 @@ std::size_t SocketTransport::inbuf_bytes() const noexcept {
   return total;
 }
 
-bool SocketTransport::sends_pending() const noexcept {
-  for (const auto& peer : peers_)
-    if (peer.fd >= 0 && !peer.sendq.empty()) return true;
-  return false;
-}
-
 bool SocketTransport::peer_open(std::size_t r) const noexcept {
   return peers_[r].fd >= 0;
 }

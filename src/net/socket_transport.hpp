@@ -168,7 +168,6 @@ class SocketTransport final : public algo::Transport {
   /// Flush-only variant (no reads): used while winding down.
   void flush();
 
-  bool sends_pending() const noexcept;
   /// Queued (unflushed) outgoing frames across all peers — backpressure
   /// visibility for the worker's status/debug output.
   std::size_t sendq_frames() const noexcept;

@@ -31,8 +31,6 @@ class FisherKpp final : public OdeSystem {
   explicit FisherKpp(Params params);
 
   const Params& params() const noexcept { return params_; }
-  /// d * (N+1)^2.
-  double effective_diffusion() const noexcept { return diffusion_; }
   /// Asymptotic front speed in x-units per time: 2 sqrt(d r).
   double front_speed() const noexcept;
 

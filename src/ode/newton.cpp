@@ -14,9 +14,9 @@ namespace {
 /// row's iterate, the centre of the window `f` and `dfdy` were evaluated
 /// on. Returns true when the row leaves the batch with `out` written:
 /// converged (possibly on the initial check, at zero iterations — see
-/// NewtonOptions::check_cost), with the final tiny correction applied, or
-/// out of budget, with the value left as it was. Otherwise applies the
-/// update to `value` and returns false.
+/// kCheckCost), with the final tiny correction applied, or out of budget,
+/// with the value left as it was. Otherwise applies the update to `value`
+/// and returns false.
 bool scalar_newton_pass(double& value, double y_prev, double f, double dfdy,
                         double dt, std::size_t it, const NewtonOptions& opts,
                         ScalarSolveResult& out) {
@@ -160,10 +160,6 @@ void assemble_and_factor(const OdeSystem& system, std::size_t first,
   for (std::size_t i = 0; i < slots; ++i) data[i] = 0.0 - dt * band[i];
   for (std::size_t i = s; i < slots; i += width) data[i] = 1.0 - dt * band[i];
   linalg::banded_lu_factor_in_place(ws.jac);
-  ++ws.factorizations;
-  ws.jac_age = 0;
-  ws.jac_rows = nb;
-  ws.jac_dt = dt;
 }
 
 }  // namespace
@@ -200,21 +196,10 @@ BlockSolveResult block_implicit_euler_step(
         first + nb + g < dim ? ghost_right[g] : 0.0;
   }
 
-  const bool chord = opts.jacobian_reuse != JacobianReuse::kFresh;
-  // A held factorization only survives into this call in the across-steps
-  // mode, and only when it was built for this block shape and step size.
-  if (opts.jacobian_reuse != JacobianReuse::kChordAcrossSteps ||
-      ws.jac_rows != nb || ws.jac_dt != dt)
-    ws.jac_valid = false;
-
   BlockSolveResult result;
-  const std::size_t factorizations_at_entry = ws.factorizations;
-  double prev_update = 0.0;
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
     // Residual F(w) = w - y_prev - dt f(t_next, w); checked before any
     // factorization so a converged warm start costs one evaluation only.
-    // In chord mode this true-residual check is also what keeps the
-    // stopping decision sound despite the approximate Jacobian.
     std::copy(y_next.begin(), y_next.end(),
               ws.window.begin() + static_cast<std::ptrdiff_t>(s));
     system.rhs_range(first, nb, t_next, ws.window, ws.rhs);
@@ -228,36 +213,19 @@ BlockSolveResult block_implicit_euler_step(
       result.skipped_by_check = it == 0;
       break;
     }
-    if (!ws.jac_valid || ws.jac_age >= opts.chord_max_age)
-      assemble_and_factor(system, first, nb, t_next, dt, ws);
-    ws.jac_valid = true;
+    assemble_and_factor(system, first, nb, t_next, dt, ws);
     linalg::banded_lu_solve_in_place(ws.jac, ws.rhs);
-    ++ws.jac_age;
     double update_norm = 0.0;
     for (std::size_t r = 0; r < nb; ++r) {
       y_next[r] += ws.rhs[r];
       update_norm = std::max(update_norm, std::abs(ws.rhs[r]));
     }
     ++result.newton_iterations;
-    result.update_norm = update_norm;
     if (update_norm <= opts.tolerance) {
       result.converged = true;
       break;
     }
-    // Chord refresh policy: when the reused factorization no longer
-    // contracts the update by chord_refresh_rate per iteration, rebuild at
-    // the next iteration. Fresh mode refactorizes unconditionally.
-    if (!chord || (prev_update > 0.0 &&
-                   update_norm > opts.chord_refresh_rate * prev_update))
-      ws.jac_valid = false;
-    prev_update = update_norm;
   }
-  result.factorizations = ws.factorizations - factorizations_at_entry;
-  // Never carry a factorization out of a failed solve or out of a mode
-  // that did not ask for cross-call reuse.
-  if (!result.converged ||
-      opts.jacobian_reuse != JacobianReuse::kChordAcrossSteps)
-    ws.jac_valid = false;
   return result;
 }
 
@@ -268,8 +236,7 @@ BlockSolveResult block_implicit_euler_step(
     const NewtonOptions& opts) {
   // Legacy entry point: a throwaway workspace per call. Still faster than
   // the historical implementation (batched assembly, in-place LU), but the
-  // hot path is the workspace overload; kChordAcrossSteps degrades to
-  // kChord here because nothing survives the call.
+  // hot path is the workspace overload.
   NewtonWorkspace ws;
   return block_implicit_euler_step(system, first, y_prev, y_next, ghost_left,
                                    ghost_right, t_next, dt, opts, ws);

@@ -49,11 +49,6 @@ void WaveformBlock::invalidate_fast_path() {
   fast_path_valid_ = false;
   std::fill(step_solved_.begin(), step_solved_.end(),
             static_cast<std::uint8_t>(0));
-  // Migration changes the block under the solver: drop any chord-Newton
-  // factorization held for the old shape/partition. (The solver would
-  // also notice the size change itself; invalidating here keeps the
-  // contract local.)
-  for (ChunkState& cs : chunks_) cs.ws.invalidate_jacobian();
 }
 
 void WaveformBlock::refresh_ghost_snapshot() {
@@ -216,9 +211,9 @@ WaveformBlock::IterationStats WaveformBlock::iterate() {
     stats.all_converged &= cs.all_converged;
     if (cs.residual > stats.residual) stats.residual = cs.residual;
   }
-  stats.work = newton_.check_cost * static_cast<double>(check_units) +
+  stats.work = kCheckCost * static_cast<double>(check_units) +
                static_cast<double>(iter_units) +
-               newton_.step_skip_cost * static_cast<double>(skip_steps);
+               kStepSkipCost * static_cast<double>(skip_steps);
   last_residual_ = stats.residual;
 
   if (block_mode) {

@@ -124,7 +124,6 @@ class WaveformBlock {
   std::size_t stencil() const noexcept { return stencil_; }
   std::size_t num_steps() const noexcept { return num_steps_; }
   double dt() const noexcept { return dt_; }
-  bool at_left_boundary() const noexcept { return first_ == 0; }
   bool at_right_boundary() const noexcept {
     return first_ + count_ == system_->dimension();
   }
@@ -233,8 +232,7 @@ class WaveformBlock {
  private:
   // Everything one chunk task needs, hoisted so a steady-state iterate()
   // performs zero heap allocations (the tentpole property the alloc-free
-  // tests pin down): its own Newton workspace (the chord factorization
-  // for its rows, invalidated by migrations), per-step staging buffers,
+  // tests pin down): its own Newton workspace, per-step staging buffers,
   // and the per-sweep outputs the caller reduces in chunk order after
   // the join. Tasks touch only their own ChunkState plus disjoint new_
   // rows, which is the whole data-race argument (DESIGN.md §13).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace aiac::util {
@@ -83,14 +82,6 @@ double geometric_mean(std::span<const double> xs) {
     log_sum += std::log(x);
   }
   return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-std::string format_mean_stddev(const OnlineStats& s, int precision) {
-  std::ostringstream out;
-  out.setf(std::ios::fixed);
-  out.precision(precision);
-  out << s.mean() << " ± " << s.stddev() << " (n=" << s.count() << ")";
-  return out.str();
 }
 
 }  // namespace aiac::util

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <limits>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace aiac::util {
@@ -57,8 +56,5 @@ double mean(std::span<const double> xs) noexcept;
 
 /// Geometric mean; requires strictly positive values.
 double geometric_mean(std::span<const double> xs);
-
-/// Formats like "105.5 ± 3.2 (n=10)".
-std::string format_mean_stddev(const OnlineStats& s, int precision = 1);
 
 }  // namespace aiac::util

@@ -58,30 +58,27 @@ std::uint64_t allocs() {
 // Two adjacent blocks over the Brusselator domain, exchanging boundary
 // data through recycled messages — the same dance the engines perform.
 struct BlockPair {
-  explicit BlockPair(ode::LocalSolveMode mode,
-                     ode::JacobianReuse reuse = ode::JacobianReuse::kFresh)
+  explicit BlockPair(ode::LocalSolveMode mode)
       : system([] {
           ode::Brusselator::Params params;
           params.grid_points = 16;
           return params;
         }()),
-        left(system, make_config(0, system.dimension() / 2, mode, reuse)),
+        left(system, make_config(0, system.dimension() / 2, mode)),
         right(system,
               make_config(system.dimension() / 2,
-                          system.dimension() - system.dimension() / 2, mode,
-                          reuse)) {}
+                          system.dimension() - system.dimension() / 2,
+                          mode)) {}
 
   static ode::WaveformBlockConfig make_config(std::size_t first,
                                               std::size_t count,
-                                              ode::LocalSolveMode mode,
-                                              ode::JacobianReuse reuse) {
+                                              ode::LocalSolveMode mode) {
     ode::WaveformBlockConfig config;
     config.first = first;
     config.count = count;
     config.num_steps = 20;
     config.t_end = 0.4;
     config.mode = mode;
-    config.newton.jacobian_reuse = reuse;
     return config;
   }
 
@@ -105,27 +102,16 @@ class AllocFree : public ::testing::TestWithParam<ode::LocalSolveMode> {};
 
 // After a warm-up that sizes every buffer (workspace, staging vectors,
 // message rows), further outer iterations and boundary exchanges must not
-// touch the heap at all.
+// touch the heap at all. Block mode refactorizes every Newton iteration,
+// in place in the workspace.
 TEST_P(AllocFree, SteadyStateIterationAllocatesNothing) {
-  BlockPair pair(GetParam(), ode::JacobianReuse::kChordAcrossSteps);
+  BlockPair pair(GetParam());
   for (int warm = 0; warm < 8; ++warm) pair.iterate_and_exchange();
 
   const std::uint64_t before = allocs();
   for (int iter = 0; iter < 32; ++iter) pair.iterate_and_exchange();
   EXPECT_EQ(allocs() - before, 0u)
       << "steady-state iterations allocated on the heap";
-}
-
-// Fresh-Jacobian block mode refactorizes every Newton iteration but must
-// still reuse the workspace storage — the factorization is in place.
-TEST(AllocFreeFresh, FreshJacobianStillReusesWorkspace) {
-  BlockPair pair(ode::LocalSolveMode::kBlockNewton,
-                 ode::JacobianReuse::kFresh);
-  for (int warm = 0; warm < 8; ++warm) pair.iterate_and_exchange();
-
-  const std::uint64_t before = allocs();
-  for (int iter = 0; iter < 32; ++iter) pair.iterate_and_exchange();
-  EXPECT_EQ(allocs() - before, 0u);
 }
 
 // The send path in isolation: filling a recycled BoundaryMessage and
@@ -155,8 +141,7 @@ TEST(AllocFreeParallel, PooledChunkedIterateAllocatesNothing) {
   params.grid_points = 16;
   ode::Brusselator system(params);
   auto config = BlockPair::make_config(0, system.dimension(),
-                                       ode::LocalSolveMode::kBlockNewton,
-                                       ode::JacobianReuse::kChordAcrossSteps);
+                                       ode::LocalSolveMode::kBlockNewton);
   config.intra_chunks = 3;
   ode::WaveformBlock block(system, config);
   block.set_worker_pool(&pool);

@@ -1,5 +1,5 @@
 // Tests for the discrete-event simulation kernel: ordering, determinism,
-// cancellation, and the run guards.
+// and the run guards.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -8,7 +8,6 @@
 
 namespace {
 
-using aiac::des::EventId;
 using aiac::des::Simulator;
 
 TEST(Simulator, ExecutesInTimeOrder) {
@@ -53,22 +52,6 @@ TEST(Simulator, RejectsPastAndNegative) {
   EXPECT_THROW(sim.schedule_after(-1.0, [] {}), std::invalid_argument);
 }
 
-TEST(Simulator, CancelPreventsExecution) {
-  Simulator sim;
-  int fired = 0;
-  const EventId id = sim.schedule_at(1.0, [&] { ++fired; });
-  sim.schedule_at(2.0, [&] { ++fired; });
-  EXPECT_TRUE(sim.cancel(id));
-  EXPECT_FALSE(sim.cancel(id));  // double cancel is a no-op
-  sim.run();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(Simulator, CancelUnknownIdIsNoop) {
-  Simulator sim;
-  EXPECT_FALSE(sim.cancel(EventId{999}));
-}
-
 TEST(Simulator, StopHaltsTheLoop) {
   Simulator sim;
   int fired = 0;
@@ -80,18 +63,6 @@ TEST(Simulator, StopHaltsTheLoop) {
   sim.run();
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sim.stopped());
-}
-
-TEST(Simulator, RunUntilAdvancesClockWithoutLaterEvents) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule_at(1.0, [&] { ++fired; });
-  sim.schedule_at(10.0, [&] { ++fired; });
-  sim.run_until(5.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
-  sim.run();
-  EXPECT_EQ(fired, 2);
 }
 
 TEST(Simulator, EventBudgetGuardsRunawayLoops) {

@@ -43,7 +43,6 @@ ode::WaveformBlockConfig make_config(std::size_t first, std::size_t count,
   config.num_steps = 12;
   config.t_end = 0.4;
   config.mode = mode;
-  config.newton.jacobian_reuse = ode::JacobianReuse::kChordAcrossSteps;
   config.intra_chunks = chunks;
   return config;
 }

@@ -1,9 +1,10 @@
-// Workspace-reuse and chord-Newton tests for the block implicit-Euler
-// solver, plus agreement checks for the batched OdeSystem range entry
-// points (rhs_range / jacobian_band_range) against their per-component
+// Workspace-reuse tests for the block implicit-Euler solver, plus
+// agreement checks for the batched OdeSystem range entry points
+// (rhs_range / jacobian_band_range) against their per-component
 // definitions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -30,19 +31,16 @@ FisherKpp small_fisher() {
 }
 
 /// Integrates `steps` implicit-Euler steps of the whole domain as one
-/// block, returning the final state. Exercises whichever reuse mode and
-/// workspace the options ask for.
+/// block, returning the final state. Uses `ws` when given, else the
+/// legacy entry point's throwaway workspace.
 std::vector<double> integrate_block(const OdeSystem& system, double dt,
                                     std::size_t steps,
                                     const NewtonOptions& opts,
-                                    NewtonWorkspace* ws,
-                                    std::size_t* factorizations = nullptr,
-                                    std::size_t* newton_iters = nullptr) {
+                                    NewtonWorkspace* ws) {
   const std::size_t n = system.dimension();
   std::vector<double> y_prev(n), y_next(n);
   system.initial_state(y_prev);
   std::vector<double> ghost;  // whole-domain block: ghosts never read
-  std::size_t facts = 0, iters = 0;
   for (std::size_t k = 0; k < steps; ++k) {
     y_next = y_prev;  // warm start from the previous step
     const double t_next = dt * static_cast<double>(k + 1);
@@ -54,12 +52,8 @@ std::vector<double> integrate_block(const OdeSystem& system, double dt,
       result = block_implicit_euler_step(system, 0, y_prev, y_next, ghost,
                                          ghost, t_next, dt, opts);
     EXPECT_TRUE(result.converged) << "step " << k;
-    facts += result.factorizations;
-    iters += result.newton_iterations;
     y_prev = y_next;
   }
-  if (factorizations != nullptr) *factorizations = facts;
-  if (newton_iters != nullptr) *newton_iters = iters;
   return y_prev;
 }
 
@@ -75,7 +69,7 @@ double max_abs_diff(const std::vector<double>& a,
 
 TEST(NewtonWorkspace, WorkspaceOverloadMatchesLegacyBitForBit) {
   const auto system = small_brusselator();
-  NewtonOptions opts;  // kFresh
+  NewtonOptions opts;
   NewtonWorkspace ws;
   const auto legacy = integrate_block(system, 0.01, 8, opts, nullptr);
   const auto pooled = integrate_block(system, 0.01, 8, opts, &ws);
@@ -99,129 +93,55 @@ TEST(NewtonWorkspace, BuffersAreReusedAcrossCalls) {
   EXPECT_EQ(ws.band.data(), band_data);
 }
 
-// ---- Chord Newton -------------------------------------------------------
-
-TEST(ChordNewton, BrusselatorChordMatchesFullNewton) {
-  const auto system = small_brusselator();
-  NewtonOptions fresh;
-  fresh.tolerance = 1e-10;
-  NewtonOptions chord = fresh;
-  chord.jacobian_reuse = JacobianReuse::kChordAcrossSteps;
-  NewtonWorkspace ws_fresh, ws_chord;
-  const auto a = integrate_block(system, 0.01, 20, fresh, &ws_fresh);
-  const auto b = integrate_block(system, 0.01, 20, chord, &ws_chord);
-  // Both solve the same nonlinear systems to the same update tolerance;
-  // the chord path may stop at a slightly different iterate within it.
-  EXPECT_LT(max_abs_diff(a, b), 10 * fresh.tolerance);
-}
-
-TEST(ChordNewton, FisherKppChordMatchesFullNewton) {
-  const auto system = small_fisher();
-  NewtonOptions fresh;
-  fresh.tolerance = 1e-10;
-  NewtonOptions chord = fresh;
-  chord.jacobian_reuse = JacobianReuse::kChordAcrossSteps;
-  NewtonWorkspace ws_fresh, ws_chord;
-  const auto a = integrate_block(system, 0.005, 20, fresh, &ws_fresh);
-  const auto b = integrate_block(system, 0.005, 20, chord, &ws_chord);
-  EXPECT_LT(max_abs_diff(a, b), 10 * fresh.tolerance);
-}
-
-TEST(ChordNewton, AcrossStepsFactorizesLessThanFresh) {
-  const auto system = small_brusselator();
-  NewtonOptions fresh;
-  NewtonOptions chord = fresh;
-  chord.jacobian_reuse = JacobianReuse::kChordAcrossSteps;
-  NewtonWorkspace ws_fresh, ws_chord;
-  std::size_t facts_fresh = 0, iters_fresh = 0;
-  std::size_t facts_chord = 0, iters_chord = 0;
-  (void)integrate_block(system, 0.01, 20, fresh, &ws_fresh, &facts_fresh,
-                        &iters_fresh);
-  (void)integrate_block(system, 0.01, 20, chord, &ws_chord, &facts_chord,
-                        &iters_chord);
-  // Fresh mode factorizes every Newton iteration; the chord policy
-  // amortizes factorizations across iterations and steps.
-  EXPECT_EQ(facts_fresh, iters_fresh);
-  EXPECT_LT(facts_chord, facts_fresh);
-  EXPECT_EQ(ws_chord.factorizations, facts_chord);
-}
-
-TEST(ChordNewton, ShapeChangeInvalidatesHeldFactorization) {
+TEST(NewtonWorkspace, ReuseAcrossBlockSizeAndDtMatchesThrowawayWorkspace) {
   const auto system = small_brusselator();
   const std::size_t n = system.dimension();
-  NewtonOptions chord;
-  chord.jacobian_reuse = JacobianReuse::kChordAcrossSteps;
-  NewtonWorkspace ws;
-  std::vector<double> y0(n), y_prev, y_next;
+  const std::size_t s = system.stencil_halfwidth();
+  std::vector<double> y0(n);
   system.initial_state(y0);
-  const std::vector<double> ghost(system.stencil_halfwidth(), 1.0);
+  NewtonOptions opts;
+  NewtonWorkspace shared;
+  struct Solve {
+    std::size_t first;
+    std::size_t rows;
+    double dt;
+  };
+  // The whole domain, then a 3-row-smaller interior block (the buffers
+  // shrink), then that block at twice the step, then the whole domain at
+  // twice the step (the buffers grow back).
+  const Solve solves[] = {
+      {0, n, 0.01}, {2, n - 3, 0.01}, {2, n - 3, 0.02}, {0, n, 0.02}};
+  for (const Solve& solve : solves) {
+    const auto at = [&y0](std::size_t i) {
+      return y0.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    const std::vector<double> y_prev(at(solve.first),
+                                     at(solve.first + solve.rows));
+    std::vector<double> ghost_left(s, 0.0), ghost_right(s, 0.0);
+    if (solve.first >= s)
+      std::copy(at(solve.first - s), at(solve.first), ghost_left.begin());
+    if (solve.first + solve.rows + s <= n)
+      std::copy(at(solve.first + solve.rows),
+                at(solve.first + solve.rows + s), ghost_right.begin());
 
-  // Solve the left half-block, keeping the factorization.
-  y_prev.assign(y0.begin(), y0.begin() + static_cast<std::ptrdiff_t>(n / 2));
-  y_next = y_prev;
-  auto r1 = block_implicit_euler_step(system, 0, y_prev, y_next, ghost,
-                                      ghost, 0.01, 0.01, chord, ws);
-  ASSERT_TRUE(r1.converged);
-  ASSERT_TRUE(ws.jac_valid);
-  EXPECT_EQ(ws.jac_rows, n / 2);
+    std::vector<double> reused = y_prev;
+    const auto r_reused = block_implicit_euler_step(
+        system, solve.first, y_prev, reused, ghost_left, ghost_right,
+        solve.dt, solve.dt, opts, shared);
+    NewtonWorkspace throwaway;
+    std::vector<double> fresh = y_prev;
+    const auto r_fresh = block_implicit_euler_step(
+        system, solve.first, y_prev, fresh, ghost_left, ghost_right,
+        solve.dt, solve.dt, opts, throwaway);
 
-  // A different block size must force a refactorization.
-  const std::size_t facts_before = ws.factorizations;
-  y_prev.assign(y0.begin(), y0.begin() + static_cast<std::ptrdiff_t>(n / 4));
-  y_next = y_prev;
-  auto r2 = block_implicit_euler_step(system, 0, y_prev, y_next, ghost,
-                                      ghost, 0.01, 0.01, chord, ws);
-  ASSERT_TRUE(r2.converged);
-  if (r2.newton_iterations > 0) {
-    EXPECT_GT(ws.factorizations, facts_before);
+    ASSERT_TRUE(r_fresh.converged) << solve.rows << " rows, dt " << solve.dt;
+    EXPECT_GT(r_fresh.newton_iterations, 0u);
+    EXPECT_EQ(r_reused.converged, r_fresh.converged);
+    EXPECT_EQ(r_reused.newton_iterations, r_fresh.newton_iterations);
+    EXPECT_EQ(r_reused.skipped_by_check, r_fresh.skipped_by_check);
+    EXPECT_EQ(reused, fresh) << solve.rows << " rows, dt " << solve.dt;
+    EXPECT_EQ(shared.rhs.size(), solve.rows);
   }
-  EXPECT_EQ(ws.jac_rows, n / 4);
-
-  // Explicit invalidation (what migrations do) drops the factorization.
-  ws.invalidate_jacobian();
-  EXPECT_FALSE(ws.jac_valid);
-}
-
-TEST(ChordNewton, DtChangeInvalidatesHeldFactorization) {
-  const auto system = small_brusselator();
-  const std::size_t n = system.dimension();
-  NewtonOptions chord;
-  chord.jacobian_reuse = JacobianReuse::kChordAcrossSteps;
-  NewtonWorkspace ws;
-  std::vector<double> y_prev(n), y_next;
-  system.initial_state(y_prev);
-  std::vector<double> ghost;
-  y_next = y_prev;
-  auto r1 = block_implicit_euler_step(system, 0, y_prev, y_next, ghost,
-                                      ghost, 0.01, 0.01, chord, ws);
-  ASSERT_TRUE(r1.converged);
-  ASSERT_TRUE(ws.jac_valid);
-  EXPECT_EQ(ws.jac_dt, 0.01);
-  const std::size_t facts_before = ws.factorizations;
-  y_next = y_prev;
-  auto r2 = block_implicit_euler_step(system, 0, y_prev, y_next, ghost,
-                                      ghost, 0.02, 0.02, chord, ws);
-  ASSERT_TRUE(r2.converged);
-  if (r2.newton_iterations > 0) {
-    EXPECT_GT(ws.factorizations, facts_before);
-    EXPECT_EQ(ws.jac_dt, 0.02);
-  }
-}
-
-TEST(ChordNewton, PlainChordDoesNotCarryFactorizationOut) {
-  const auto system = small_brusselator();
-  const std::size_t n = system.dimension();
-  NewtonOptions chord;
-  chord.jacobian_reuse = JacobianReuse::kChord;
-  NewtonWorkspace ws;
-  std::vector<double> y_prev(n), y_next;
-  system.initial_state(y_prev);
-  std::vector<double> ghost;
-  y_next = y_prev;
-  auto r = block_implicit_euler_step(system, 0, y_prev, y_next, ghost,
-                                     ghost, 0.01, 0.01, chord, ws);
-  ASSERT_TRUE(r.converged);
-  EXPECT_FALSE(ws.jac_valid);  // per-step reuse only
 }
 
 // ---- Batched range entry points vs per-component definitions ------------
