@@ -13,7 +13,8 @@
 #   scripts/ci.sh ubsan      # UBSan-only build (plus float-divide-by-zero,
 #                            # which the combined Asan type doesn't enable)
 #                            # over the algo/net/check labels
-#   scripts/ci.sh lint       # aiac_lint (project invariants), a -Werror
+#   scripts/ci.sh lint       # aiac_lint (project invariants) and its
+#                            # seeded-fixture self-tests, a -Werror
 #                            # build, and clang-tidy over
 #                            # compile_commands.json when installed
 #   scripts/ci.sh bench-smoke  # quick kernel bench vs the checked-in
@@ -93,6 +94,9 @@ lint() {
   echo "==> lint: aiac_lint (hot-path / lock / wire invariants)"
   cmake --build build -j"$jobs" --target aiac_lint
   ./build/tools/aiac_lint --root=.
+  echo "==> lint: aiac_lint self-tests (seeded-violation fixtures)"
+  cmake --build build -j"$jobs" --target test_lint
+  ctest --test-dir build -L lint --output-on-failure
   # Always, clang-tidy or not: .clang-tidy's WarningsAsErrors covers no
   # compiler diagnostic, so only this build fails on a warning of
   # aiac_warnings (-Wsign-conversion and the rest).

@@ -132,10 +132,9 @@ void DetectionProtocol::halt() {
   driver_->broadcast_halt();
 }
 
-OracleSnapshot oracle_probe(const CoreFleet& fleet, bool lb_in_flight,
-                            double tolerance) {
+OracleSnapshot oracle_probe(const CoreFleet& fleet, double tolerance) {
   OracleSnapshot snap;
-  if (lb_in_flight) return snap;
+  if (fleet.lb_in_flight()) return snap;
   double max_residual = 0.0;
   for (std::size_t p = 0; p < fleet.size(); ++p) {
     const ProcessorCore& core = fleet.core(p);
@@ -163,6 +162,8 @@ OracleSnapshot measured_audit(const CoreFleet& fleet) {
   snap.converged = true;
   for (std::size_t p = 0; p < fleet.size(); ++p) {
     const ProcessorCore& core = fleet.core(p);
+    snap.any_residual_stale |= core.residual_stale();
+    snap.any_core_unstarted |= core.iteration() == 0;
     if (!std::isinf(core.last_residual()))
       snap.max_residual = std::max(snap.max_residual, core.last_residual());
     if (p + 1 < fleet.size()) {

@@ -107,21 +107,25 @@ class DetectionProtocol {
 
 /// The oracle's global convergence probe over a quiescent fleet view:
 /// every core has completed an iteration, holds a fresh (non-stale)
-/// residual within tolerance and no queued migration, no load balancing is
-/// in flight (`lb_in_flight`, driver-owned link state), and every shared
-/// interface is consistent across neighbors — local residuals alone are
-/// not sufficient for AIAC, where a node whose ghost data stopped arriving
-/// reports a zero residual over stale values.
+/// residual within tolerance and no queued migration, no migration is in
+/// flight (the fleet's link flags), and every shared interface is
+/// consistent across neighbors — local residuals alone are not sufficient
+/// for AIAC, where a node whose ghost data stopped arriving reports a zero
+/// residual over stale values.
 struct OracleSnapshot {
   bool converged = false;
   /// Audit trail for the no-early-detection invariant: the values the
   /// probe actually verified at the halt instant (valid when converged).
   double max_gap = 0.0;
   double max_residual = 0.0;
+  /// Some core holds a residual that does not cover its folded-in inputs,
+  /// or has not finished an iteration yet. measured_audit reports these;
+  /// a converged oracle_probe has them false by construction.
+  bool any_residual_stale = false;
+  bool any_core_unstarted = false;
 };
 
-OracleSnapshot oracle_probe(const CoreFleet& fleet, bool lb_in_flight,
-                            double tolerance);
+OracleSnapshot oracle_probe(const CoreFleet& fleet, double tolerance);
 
 /// The coordinator halt audit: the protocol guaranteed persistent local
 /// convergence, not interface consistency, so this records whatever

@@ -232,13 +232,6 @@ bool ProcessorCore::extract_migration_into(Side toward, std::size_t amount,
   return true;
 }
 
-std::optional<ode::MigrationPayload> ProcessorCore::extract_migration(
-    Side toward, std::size_t amount) {
-  ode::MigrationPayload payload;
-  if (!extract_migration_into(toward, amount, payload)) return std::nullopt;
-  return payload;
-}
-
 void ProcessorCore::drain_pending_migrations() {
   while (!pending_from_left_.empty()) {
     block_.absorb_from_left(pending_from_left_.front());
@@ -266,7 +259,8 @@ double ProcessorCore::current_load() const {
   return estimator_->estimate(inputs);
 }
 
-CoreFleet::CoreFleet(const ode::OdeSystem& system, const FleetConfig& config) {
+CoreFleet::CoreFleet(const ode::OdeSystem& system, const FleetConfig& config)
+    : link_busy_(config.processors > 0 ? config.processors - 1 : 0) {
   estimator_ = lb::make_estimator(config.estimator);
   balancer_ = std::make_unique<lb::NeighborBalancer>(config.balancer);
   const std::size_t stencil = system.stencil_halfwidth();
@@ -300,10 +294,60 @@ CoreFleet::CoreFleet(const ode::OdeSystem& system, const FleetConfig& config) {
   }
 }
 
+ProcessorCore::BeginInfo CoreFleet::begin_iteration(std::size_t p) {
+  const ProcessorCore::BeginInfo info = cores_[p].begin_iteration();
+  if (info.absorbed_from_left) link_busy_[p - 1].store(false);
+  if (info.absorbed_from_right) link_busy_[p].store(false);
+  return info;
+}
+
+MigrationAttempt CoreFleet::migrate(std::size_t p,
+                                    ode::MigrationPayload& payload) {
+  ProcessorCore& core = cores_[p];
+  const bool hidden = mutation::link_flags_hidden();
+  const bool left_busy = !hidden && p > 0 && link_busy_[p - 1].load();
+  const bool right_busy =
+      !hidden && p + 1 < cores_.size() && link_busy_[p].load();
+  const lb::BalanceDecision decision =
+      core.plan_migration(left_busy, right_busy);
+  MigrationAttempt attempt;
+  if (decision.action == lb::BalanceDecision::Action::kNone) return attempt;
+  attempt.side = decision.action == lb::BalanceDecision::Action::kSendLeft
+                     ? Side::kLeft
+                     : Side::kRight;
+  // Claim before extracting, so two neighbours cannot start crossing
+  // migrations on one link; compare-exchange makes the claim atomic.
+  std::atomic<bool>& link = link_busy_[attempt.side == Side::kLeft ? p - 1 : p];
+  bool expected = false;
+  if (!link.compare_exchange_strong(expected, true)) {
+    attempt.outcome = MigrationAttempt::Outcome::kLinkBusy;
+    return attempt;
+  }
+  if (!core.extract_migration_into(attempt.side, decision.amount, payload)) {
+    link.store(false);
+    attempt.outcome = MigrationAttempt::Outcome::kGuarded;
+    return attempt;
+  }
+  attempt.outcome = MigrationAttempt::Outcome::kExtracted;
+  return attempt;
+}
+
+bool CoreFleet::lb_in_flight() const noexcept {
+  for (const std::atomic<bool>& busy : link_busy_)
+    if (busy.load()) return true;
+  return false;
+}
+
+bool CoreFleet::adjacent_link_busy(std::size_t p) const noexcept {
+  return (p > 0 && link_busy_[p - 1].load()) ||
+         (p + 1 < cores_.size() && link_busy_[p].load());
+}
+
 namespace mutation {
 
 namespace {
 bool g_disable_famine_guard = false;
+bool g_hide_link_flags = false;
 }  // namespace
 
 void set_disable_famine_guard(bool disabled) noexcept {
@@ -311,6 +355,10 @@ void set_disable_famine_guard(bool disabled) noexcept {
 }
 
 bool famine_guard_disabled() noexcept { return g_disable_famine_guard; }
+
+void set_hide_link_flags(bool hidden) noexcept { g_hide_link_flags = hidden; }
+
+bool link_flags_hidden() noexcept { return g_hide_link_flags; }
 
 }  // namespace mutation
 

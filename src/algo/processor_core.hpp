@@ -13,19 +13,23 @@
 //   run_iteration                         (the numerics)
 //   make_boundary / emit_boundaries       (outgoing ghost data)
 //   finish_iteration                      (residual, streak, bookkeeping)
-//   lb_trigger_due / plan_migration / extract_migration
+//   lb_trigger_due / plan_migration / extract_migration_into
 //
 // and owns everything else: scheduling, locking, message delivery and the
-// mapping from work units to seconds (see runtime_ifaces.hpp). The core is
-// not thread-safe; the threaded driver serializes access per processor
-// with its block mutex.
+// mapping from work units to seconds (see runtime_ifaces.hpp). The
+// in-process drivers reach begin_iteration and the migration steps
+// through CoreFleet, which adds the per-link busy flags. The core is not
+// thread-safe; the threaded driver serializes access per processor with
+// its block mutex.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "algo/partitioner.hpp"
 #include "algo/runtime_ifaces.hpp"
@@ -166,18 +170,12 @@ class ProcessorCore {
   lb::BalanceDecision plan_migration(bool left_link_busy,
                                      bool right_link_busy) const;
 
-  /// Clamps `amount` against the famine guard and extracts the payload;
-  /// nullopt when the guard leaves nothing to send. On success rearms the
-  /// trigger countdown and updates the migration counters and the
-  /// min-components watermark (sampled at its tightest point, right after
-  /// the extraction).
-  std::optional<ode::MigrationPayload> extract_migration(Side toward,
-                                                         std::size_t amount);
-
-  /// Fill-into variant of extract_migration: on success overwrites
-  /// `payload` (reusing payload.rows' capacity — pass pool-acquired rows)
-  /// and returns true; false when the famine guard blocks the migration,
-  /// leaving `payload` untouched.
+  /// Clamps `amount` against the famine guard and extracts the payload:
+  /// on success overwrites `payload` (reusing payload.rows' capacity —
+  /// pass pool-acquired rows), rearms the trigger countdown, updates the
+  /// migration counters and the min-components watermark (sampled at its
+  /// tightest point, right after the extraction) and returns true; false
+  /// when the guard leaves nothing to send, leaving `payload` untouched.
   bool extract_migration_into(Side toward, std::size_t amount,
                               ode::MigrationPayload& payload);
 
@@ -331,9 +329,32 @@ struct FleetConfig {
   lb::BalancerConfig balancer = {};
 };
 
-/// Owns the estimator, the balancer and one ProcessorCore per rank, built
-/// over the shared partitioner. Both engines construct exactly this, so
-/// they cannot disagree on the initial split or the famine floor.
+/// The result of one CoreFleet::migrate call.
+struct MigrationAttempt {
+  enum class Outcome {
+    kNoDecision,  // the balancer chose to keep everything
+    kLinkBusy,    // the chosen link was claimed first by the neighbour
+    kGuarded,     // the famine guard left nothing to send; link released
+    kExtracted,   // the payload is filled and the link is claimed
+  };
+  Outcome outcome = Outcome::kNoDecision;
+  Side side = Side::kLeft;  // the chosen direction (unset for kNoDecision)
+};
+
+/// Owns the estimator, the balancer, one ProcessorCore per rank, built
+/// over the shared partitioner, and the migration-link ledger. Every
+/// in-process driver and the model checker construct exactly this, so
+/// they cannot disagree on the initial split, the famine floor or the
+/// link discipline.
+///
+/// The ledger is one busy flag per link (link i joins ranks i and i + 1):
+/// a node may start a migration across a link only once the previous
+/// payload on it has been absorbed (paper Algorithms 4 and 7, DESIGN.md
+/// §5 item 4). The flags are atomics, so the threaded driver's claim is a
+/// lock-free compare-exchange; begin_iteration(p) and migrate(p, ...)
+/// also touch core(p), so the caller serializes them per rank as for the
+/// core itself. The socket backend keeps the same rule as a per-link
+/// token handshake, since its ranks share no memory.
 class CoreFleet {
  public:
   CoreFleet(const ode::OdeSystem& system, const FleetConfig& config);
@@ -346,23 +367,42 @@ class CoreFleet {
   const ProcessorCore& core(std::size_t rank) const { return cores_[rank]; }
   std::size_t min_keep() const noexcept { return min_keep_; }
 
+  /// core(p).begin_iteration(), then releases each link rank p absorbed a
+  /// migration from: the link stays busy until the receiver absorbs the
+  /// payload, which serializes migrations per link.
+  ProcessorCore::BeginInfo begin_iteration(std::size_t p);
+
+  /// One load-balancing attempt by rank p (the caller has checked
+  /// lb_trigger_due): plans with the link flags, claims the chosen link
+  /// atomically, then extracts into `payload` (see
+  /// ProcessorCore::extract_migration_into). A failed extraction
+  /// releases the claim. Only kExtracted touches `payload` or the
+  /// trigger countdown.
+  MigrationAttempt migrate(std::size_t p, ode::MigrationPayload& payload);
+
+  /// Some link carries a migration its receiver has not absorbed yet.
+  bool lb_in_flight() const noexcept;
+  /// A link next to rank p carries an unabsorbed migration.
+  bool adjacent_link_busy(std::size_t p) const noexcept;
+
  private:
   std::unique_ptr<lb::LoadEstimator> estimator_;
   std::unique_ptr<lb::NeighborBalancer> balancer_;
   std::size_t min_keep_ = 0;
   std::deque<ProcessorCore> cores_;  // address-stable, cores are pinned
+  std::vector<std::atomic<bool>> link_busy_;  // size() - 1 links
 };
 
 /// Test-only algorithm mutations for the model checker's self-tests
-/// (tests/test_model_check.cpp): deliberately breaking a guard and
-/// asserting the checker reports the violation proves the detector has
-/// teeth. Process-global, not thread-safe — flip only in single-threaded
+/// (tests/test_model_check.cpp, tests/test_core_fleet.cpp): deliberately
+/// breaking a guard and asserting the checker reports the violation
+/// proves the detector has teeth. Process-global, not thread-safe — flip only in single-threaded
 /// test code, never in production paths.
 namespace mutation {
 
-/// While true, ProcessorCore::extract_migration ignores the famine guard
-/// (params_.min_keep) and clamps only to the structural floor of one
-/// owned component, so a migration can starve the sender.
+/// While true, ProcessorCore::extract_migration_into ignores the famine
+/// guard (params_.min_keep) and clamps only to the structural floor of
+/// one owned component, so a migration can starve the sender.
 void set_disable_famine_guard(bool disabled) noexcept;
 bool famine_guard_disabled() noexcept;
 
@@ -375,6 +415,21 @@ class ScopedFamineGuardDisabled {
   ScopedFamineGuardDisabled(const ScopedFamineGuardDisabled&) = delete;
   ScopedFamineGuardDisabled& operator=(const ScopedFamineGuardDisabled&) =
       delete;
+};
+
+/// While true, CoreFleet::migrate plans as if every link were free — what
+/// a rank sees when it reads the flags just before its neighbour's claim
+/// lands (the threaded driver's race) — so the claim itself must refuse
+/// a busy link.
+void set_hide_link_flags(bool hidden) noexcept;
+bool link_flags_hidden() noexcept;
+
+class ScopedLinkFlagsHidden {
+ public:
+  ScopedLinkFlagsHidden() { set_hide_link_flags(true); }
+  ~ScopedLinkFlagsHidden() { set_hide_link_flags(false); }
+  ScopedLinkFlagsHidden(const ScopedLinkFlagsHidden&) = delete;
+  ScopedLinkFlagsHidden& operator=(const ScopedLinkFlagsHidden&) = delete;
 };
 
 }  // namespace mutation

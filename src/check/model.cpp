@@ -43,8 +43,6 @@ CheckedModel::CheckedModel(const ModelConfig& config) : config_(config) {
   fleet_ = std::make_unique<algo::CoreFleet>(*system_, fc);
 
   channels_.resize(config.processors);
-  lb_link_busy_.assign(config.processors > 0 ? config.processors - 1 : 0,
-                       false);
   for (std::size_t p = 0; p < config.processors; ++p)
     initial_components_.push_back(fleet_->core(p).components());
   protocol_ = std::make_unique<algo::DetectionProtocol>(
@@ -115,11 +113,9 @@ void CheckedModel::apply(const Action& action) {
 
 void CheckedModel::step(std::size_t p) {
   algo::ProcessorCore& core = fleet_->core(p);
-  const auto begin = core.begin_iteration();
-  // The link stays busy until the receiver absorbs the payload, exactly
-  // as in both production drivers: that is what serializes migrations.
-  if (begin.absorbed_from_left) lb_link_busy_[p - 1] = false;
-  if (begin.absorbed_from_right) lb_link_busy_[p] = false;
+  // The fleet releases a link once its receiver absorbs the payload,
+  // exactly as in the production drivers: that serializes migrations.
+  fleet_->begin_iteration(p);
 
   const double start = now();
   const auto stats = core.run_iteration();
@@ -136,47 +132,27 @@ void CheckedModel::step(std::size_t p) {
 }
 
 void CheckedModel::try_load_balance(std::size_t p) {
-  algo::ProcessorCore& core = fleet_->core(p);
-  if (!core.lb_trigger_due()) return;
-  const bool left_busy = p > 0 && lb_link_busy_[p - 1];
-  const bool right_busy = p + 1 < config_.processors && lb_link_busy_[p];
-  const auto decision = core.plan_migration(left_busy, right_busy);
-  if (decision.action == lb::BalanceDecision::Action::kNone) return;
-
-  const bool to_left =
-      decision.action == lb::BalanceDecision::Action::kSendLeft;
-  const Side side = to_left ? Side::kLeft : Side::kRight;
-  const std::size_t link = to_left ? p - 1 : p;
+  if (!fleet_->core(p).lb_trigger_due()) return;
+  ode::MigrationPayload payload;
+  const algo::MigrationAttempt attempt = fleet_->migrate(p, payload);
   // Migration-flag discipline (paper Algorithm 4/7): a second migration
   // must never start on a link before the first is acknowledged. The
   // planner was told the flags; deciding to send on a busy link anyway is
   // the protocol bug this records.
-  if (lb_link_busy_[link]) {
+  if (attempt.outcome == algo::MigrationAttempt::Outcome::kLinkBusy) {
+    const std::size_t link = attempt.side == Side::kLeft ? p - 1 : p;
     discipline_breaches_.push_back(
         "processor " + std::to_string(p) + " planned a migration on busy " +
         "link " + std::to_string(link));
     return;
   }
-  auto payload = core.extract_migration(side, decision.amount);
-  if (!payload) return;
-  lb_link_busy_[link] = true;
-  send_migration(p, side, std::move(*payload));
+  if (attempt.outcome == algo::MigrationAttempt::Outcome::kExtracted)
+    send_migration(p, attempt.side, std::move(payload));
 }
 
 void CheckedModel::run_oracle() {
-  const auto snap =
-      algo::oracle_probe(*fleet_, lb_in_flight(), config_.tolerance);
-  if (!snap.converged) return;
-  halted_ = true;
-  HaltRecord record;
-  record.mode = algo::DetectionMode::kOracle;
-  record.max_residual = snap.max_residual;
-  record.max_interface_gap = snap.max_gap;
-  for (std::size_t p = 0; p < config_.processors; ++p) {
-    record.any_residual_stale |= fleet_->core(p).residual_stale();
-    record.any_core_unstarted |= fleet_->core(p).iteration() == 0;
-  }
-  halt_record_ = record;
+  const auto snap = algo::oracle_probe(*fleet_, config_.tolerance);
+  if (snap.converged) record_halt(algo::DetectionMode::kOracle, snap);
 }
 
 void CheckedModel::broadcast_halt() {
@@ -184,16 +160,18 @@ void CheckedModel::broadcast_halt() {
   // to the checked invariants, so the halt is global and instant; what
   // matters — and what the detection-safety invariant inspects — is the
   // ground truth at this very instant.
+  record_halt(config_.detection, algo::measured_audit(*fleet_));
+}
+
+void CheckedModel::record_halt(algo::DetectionMode mode,
+                               const algo::OracleSnapshot& snap) {
   halted_ = true;
   HaltRecord record;
-  record.mode = config_.detection;
-  const auto audit = algo::measured_audit(*fleet_);
-  record.max_residual = audit.max_residual;
-  record.max_interface_gap = audit.max_gap;
-  for (std::size_t p = 0; p < config_.processors; ++p) {
-    record.any_residual_stale |= fleet_->core(p).residual_stale();
-    record.any_core_unstarted |= fleet_->core(p).iteration() == 0;
-  }
+  record.mode = mode;
+  record.max_residual = snap.max_residual;
+  record.max_interface_gap = snap.max_gap;
+  record.any_residual_stale = snap.any_residual_stale;
+  record.any_core_unstarted = snap.any_core_unstarted;
   halt_record_ = record;
 }
 
@@ -256,11 +234,6 @@ std::size_t CheckedModel::migration_channel_depth(std::size_t p,
                                                   Side side) const {
   return side == Side::kLeft ? channels_[p].migration_left.size()
                              : channels_[p].migration_right.size();
-}
-
-bool CheckedModel::lb_in_flight() const {
-  return std::any_of(lb_link_busy_.begin(), lb_link_busy_.end(),
-                     [](bool busy) { return busy; });
 }
 
 }  // namespace aiac::check

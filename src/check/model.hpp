@@ -7,11 +7,16 @@
 //
 // The model is a plain state machine: `enabled_actions()` lists what could
 // happen next, `apply()` makes one of those things happen atomically.
-// Channels mirror the threaded backend's semantics exactly — latest-value
-// overwrite for boundary data (SlotBox), FIFO per link direction for
-// migrations (Mailbox), FIFO per destination for detection control
-// messages — so a schedule found here corresponds to a real interleaving
-// of the threaded runtime, with the delivery timing fully adversarial.
+// The channel kinds are the threaded backend's — latest-value overwrite
+// for boundary data (SlotBox), FIFO per link direction for migrations
+// (Mailbox), FIFO per destination for detection control messages — and
+// the migration-link flags are the same CoreFleet ledger every engine
+// uses. The model is not the threaded driver, though: a step is one
+// atomic iteration, so no delivery lands mid-iterate, and the
+// coordinator's verification veto is DetectionDriver's default
+// `locally_converged`, not the `ProcessorCore::can_confirm` every
+// production driver runs. The ModelCheckFindings cases therefore pin
+// halts of a veto no backend uses (ROADMAP item 4).
 //
 // The explorers (see explorer.hpp) re-execute the model from its initial
 // state for every schedule (stateless model checking, à la CHESS): cores
@@ -189,18 +194,17 @@ class CheckedModel final : public algo::Transport,
   void step(std::size_t p);
   void try_load_balance(std::size_t p);
   void run_oracle();
+  void record_halt(algo::DetectionMode mode, const algo::OracleSnapshot& snap);
   std::optional<ode::BoundaryMessage>& boundary_slot(std::size_t p,
                                                      algo::Side side);
   std::deque<ode::MigrationPayload>& migration_queue(std::size_t p,
                                                      algo::Side side);
-  bool lb_in_flight() const;
 
   ModelConfig config_;
   std::unique_ptr<ode::LinearDiffusion> system_;
   std::unique_ptr<algo::CoreFleet> fleet_;
   std::unique_ptr<algo::DetectionProtocol> protocol_;
   std::vector<Channels> channels_;
-  std::vector<bool> lb_link_busy_;
   std::vector<std::size_t> initial_components_;
   std::vector<std::string> discipline_breaches_;
   std::optional<HaltRecord> halt_record_;

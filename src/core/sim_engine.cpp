@@ -56,7 +56,6 @@ class SimEngine final : public algo::Transport,
     fleet_ = std::make_unique<algo::CoreFleet>(system, fc);
 
     procs_.resize(nprocs);
-    lb_link_busy_.assign(nprocs > 0 ? nprocs - 1 : 0, false);
     lb_link_inflight_.resize(nprocs > 0 ? nprocs - 1 : 0);
     link_clear_.assign(nprocs > 0 ? nprocs - 1 : 0, {0.0, 0.0});
     protocol_ = std::make_unique<algo::DetectionProtocol>(
@@ -112,15 +111,16 @@ class SimEngine final : public algo::Transport,
     AIAC_DEBUG("lb") << "t=" << now_ << " proc " << src << " sends " << amount
                      << " components " << (to_left ? "left" : "right");
 
-    lb_link_inflight_[link] = payload;  // recoverable if we stop mid-flight
-    sim_.schedule_at(arrival, [this, dst, link,
-                               payload = std::move(payload), to_left] {
-      lb_link_inflight_[link].reset();
+    // The link's slot is the payload's only copy while it travels, so a
+    // stop mid-flight can recover it (assemble_result). The fleet keeps
+    // the link busy until the receiver absorbs it.
+    lb_link_inflight_[link] = std::move(payload);
+    sim_.schedule_at(arrival, [this, dst, link, to_left] {
       if (stopped_) return;
+      std::optional<ode::MigrationPayload>& slot = lb_link_inflight_[link];
       fleet_->core(dst).enqueue_migration(to_left ? Side::kRight : Side::kLeft,
-                                          payload);
-      // The link stays busy until the receiver absorbs the payload at its
-      // next iteration start, which serializes migrations per link.
+                                          std::move(*slot));
+      slot.reset();
       if (procs_[dst].waiting || procs_[dst].dormant) try_start(dst);
     });
   }
@@ -133,7 +133,6 @@ class SimEngine final : public algo::Transport,
             ? 0.0
             : grid_.message_delay(src, dst, kControlMessageBytes, now_);
     ++control_messages_;
-    control_bytes_ += kControlMessageBytes;
     if (src != dst)
       algo::emit_message(trace_, src, dst, now_, now_ + delay,
                          kControlMessageBytes, trace::MessageKind::kControl);
@@ -168,7 +167,6 @@ class SimEngine final : public algo::Transport,
           p == 0 ? 0.0
                  : grid_.message_delay(0, p, kControlMessageBytes, now_);
       ++control_messages_;
-      control_bytes_ += kControlMessageBytes;
       sim_.schedule_at(now_ + delay, [this, p] {
         procs_[p].halted = true;
         if (std::all_of(procs_.begin(), procs_.end(),
@@ -238,9 +236,7 @@ class SimEngine final : public algo::Transport,
     const double t_start = sim_.now();
     algo::ProcessorCore& core = fleet_->core(p);
 
-    const auto begin = core.begin_iteration();
-    if (begin.absorbed_from_left) lb_link_busy_[p - 1] = false;
-    if (begin.absorbed_from_right) lb_link_busy_[p] = false;
+    fleet_->begin_iteration(p);
 
     // The real numerics. Conceptually they occupy the virtual interval
     // [t_start, t_start + duration); messages delivered inside that window
@@ -349,8 +345,7 @@ class SimEngine final : public algo::Transport,
     if (config_.load_balancing) try_load_balance(p);
 
     if (config_.detection == DetectionMode::kOracle) {
-      const auto snap =
-          algo::oracle_probe(*fleet_, lb_in_flight(), config_.tolerance);
+      const auto snap = algo::oracle_probe(*fleet_, config_.tolerance);
       if (snap.converged) {
         detection_gap_ = snap.max_gap;
         detection_max_residual_ = snap.max_residual;
@@ -377,25 +372,11 @@ class SimEngine final : public algo::Transport,
   // ---- Load balancing -----------------------------------------------
 
   void try_load_balance(std::size_t p) {
-    algo::ProcessorCore& core = fleet_->core(p);
-    if (!core.lb_trigger_due()) return;
-    const bool left_busy = p > 0 && lb_link_busy_[p - 1];
-    const bool right_busy = p + 1 < procs_.size() && lb_link_busy_[p];
-    const auto decision = core.plan_migration(left_busy, right_busy);
-    if (decision.action == lb::BalanceDecision::Action::kNone) return;
-
-    const bool to_left =
-        decision.action == lb::BalanceDecision::Action::kSendLeft;
-    const Side side = to_left ? Side::kLeft : Side::kRight;
-    auto payload = core.extract_migration(side, decision.amount);
-    if (!payload) return;
-    lb_link_busy_[to_left ? p - 1 : p] = true;
-    send_migration(p, side, std::move(*payload));
-  }
-
-  bool lb_in_flight() const {
-    return std::any_of(lb_link_busy_.begin(), lb_link_busy_.end(),
-                       [](bool busy) { return busy; });
+    if (!fleet_->core(p).lb_trigger_due()) return;
+    ode::MigrationPayload payload;
+    const algo::MigrationAttempt attempt = fleet_->migrate(p, payload);
+    if (attempt.outcome == algo::MigrationAttempt::Outcome::kExtracted)
+      send_migration(p, attempt.side, std::move(payload));
   }
 
   // ---- Halting ------------------------------------------------------
@@ -452,7 +433,8 @@ class SimEngine final : public algo::Transport,
     if (trace_) links_.record(*trace_);
     result.data_messages = links_.frames_sent();
     result.control_messages = control_messages_;
-    result.bytes_sent += links_.bytes_sent() + control_bytes_;
+    result.bytes_sent +=
+        links_.bytes_sent() + control_messages_ * kControlMessageBytes;
     result.detection_gap = detection_gap_;
     result.detection_max_residual = detection_max_residual_;
     return result;
@@ -471,7 +453,6 @@ class SimEngine final : public algo::Transport,
   /// trace charge what a delta-capable wire would carry, while the delay
   /// model and the delivered values stay on the full message.
   algo::LinkMeters links_;
-  std::vector<bool> lb_link_busy_;
   std::vector<std::optional<ode::MigrationPayload>> lb_link_inflight_;
   /// Earliest time each directed neighbor link is free to deliver the
   /// next data frame (see link_delivery_time): [link][0] rightward,
@@ -488,7 +469,6 @@ class SimEngine final : public algo::Transport,
   double detection_gap_ = -1.0;
   double detection_max_residual_ = -1.0;
   std::size_t control_messages_ = 0;
-  std::size_t control_bytes_ = 0;
 };
 
 }  // namespace

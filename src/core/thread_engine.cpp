@@ -92,10 +92,6 @@ class ThreadEngine final : public algo::Transport,
     detection_mutex_.set_rank(1);
     for (std::size_t p = 0; p < processors; ++p)
       procs_[p].block_mutex.set_rank(static_cast<unsigned>(2 + p));
-    lb_link_busy_ =
-        std::make_unique<std::atomic<bool>[]>(processors > 1 ? processors - 1
-                                                             : 1);
-    for (std::size_t i = 0; i + 1 < processors; ++i) lb_link_busy_[i] = false;
     protocol_ = std::make_unique<algo::DetectionProtocol>(
         config.detection, processors, *this, *this);
 
@@ -186,7 +182,6 @@ class ThreadEngine final : public algo::Transport,
   void send_control(std::size_t, std::size_t dst,
                     const algo::ControlFrame& frame) override {
     ++control_messages_;
-    control_bytes_ += kControlMessageBytes;
     procs_[dst].control.push(frame);
   }
 
@@ -208,9 +203,7 @@ class ThreadEngine final : public algo::Transport,
     const ThreadProc& proc = procs_[rank];
     if (!proc.lb_from_left.empty() || !proc.lb_from_right.empty())
       return false;
-    if (rank > 0 && lb_link_busy_[rank - 1].load()) return false;
-    if (rank + 1 < nprocs_ && lb_link_busy_[rank].load()) return false;
-    return true;
+    return !fleet_->adjacent_link_busy(rank);
   }
 
   /// Coordinator halt (under detection_mutex_, caller holds no
@@ -227,7 +220,6 @@ class ThreadEngine final : public algo::Transport,
     // The halt fan-out is one control message per processor, as on the
     // simulated backend.
     control_messages_ += nprocs_;
-    control_bytes_ += nprocs_ * kControlMessageBytes;
     halt_.store(true, std::memory_order_release);
     locks.clear();
     wake_all();
@@ -260,11 +252,7 @@ class ThreadEngine final : public algo::Transport,
         while (auto payload = proc.lb_from_right.try_pop())
           core.enqueue_migration(Side::kRight, std::move(*payload));
         ingest_slots(proc, core);
-        const auto begin = core.begin_iteration();
-        // The link stays busy until the receiver absorbs the payload,
-        // which serializes migrations per link.
-        if (begin.absorbed_from_left) lb_link_busy_[p - 1].store(false);
-        if (begin.absorbed_from_right) lb_link_busy_[p].store(false);
+        fleet_->begin_iteration(p);
         const double start = now();
         stats = core.run_iteration();
         core.finish_iteration(stats, start, *this);
@@ -351,8 +339,8 @@ class ThreadEngine final : public algo::Transport,
 
   void try_load_balance(std::size_t p, ThreadProc& proc,
                         algo::ProcessorCore& core) {
-    std::optional<ode::MigrationPayload> payload;
-    Side side = Side::kLeft;
+    ode::MigrationPayload payload;
+    algo::MigrationAttempt attempt;
     {
       std::lock_guard<runtime::OrderedMutex> lock(proc.block_mutex);
       if (!core.lb_trigger_due()) return;
@@ -367,30 +355,17 @@ class ThreadEngine final : public algo::Transport,
           return;
         }
       }
-      const bool left_busy = p > 0 && lb_link_busy_[p - 1].load();
-      const bool right_busy = p + 1 < nprocs_ && lb_link_busy_[p].load();
-      const auto decision = core.plan_migration(left_busy, right_busy);
-      if (decision.action == lb::BalanceDecision::Action::kNone) return;
-      const bool to_left =
-          decision.action == lb::BalanceDecision::Action::kSendLeft;
-      side = to_left ? Side::kLeft : Side::kRight;
-      const std::size_t link = to_left ? p - 1 : p;
-      // Claim the link first so two neighbors cannot start crossing
-      // migrations; compare-exchange makes the claim atomic.
-      bool expected = false;
-      if (!lb_link_busy_[link].compare_exchange_strong(expected, true)) return;
-      // Pool-acquired rows: extract_migration_into resizes within the
-      // recycled capacity. The receive side is not recycled (payloads are
-      // queued whole and absorbed later — a cold path).
-      payload.emplace();
-      payload->rows = pool_.acquire();
-      if (!core.extract_migration_into(side, decision.amount, *payload)) {
-        lb_link_busy_[link].store(false);
-        pool_.release(std::move(payload->rows));
+      // Pool-acquired rows: the extraction resizes within the recycled
+      // capacity. The receive side is not recycled (payloads are queued
+      // whole and absorbed later — a cold path).
+      payload.rows = pool_.acquire();
+      attempt = fleet_->migrate(p, payload);
+      if (attempt.outcome != algo::MigrationAttempt::Outcome::kExtracted) {
+        pool_.release(std::move(payload.rows));
         return;
       }
     }
-    send_migration(p, side, std::move(*payload));
+    send_migration(p, attempt.side, std::move(payload));
   }
 
   /// Rank 0 drives oracle detection: a lock-free precheck on the mirrors,
@@ -400,21 +375,17 @@ class ThreadEngine final : public algo::Transport,
   void leader_oracle() {
     for (const auto& proc : procs_)
       if (!proc.locally_converged.load()) return;
-    for (std::size_t i = 0; i + 1 < nprocs_; ++i)
-      if (lb_link_busy_[i].load()) return;
+    if (fleet_->lb_in_flight()) return;
     for (const auto& proc : procs_)
       if (!proc.lb_from_left.empty() || !proc.lb_from_right.empty()) return;
     std::vector<std::unique_lock<runtime::OrderedMutex>> locks;
     locks.reserve(nprocs_);
     for (auto& proc : procs_) locks.emplace_back(proc.block_mutex);
-    // Re-check the links under the locks: a payload extracted after the
-    // precheck keeps its link busy until the receiver absorbs it, which
-    // needs the receiver's block lock — held here.
-    bool lb_in_flight = false;
-    for (std::size_t i = 0; i + 1 < nprocs_; ++i)
-      lb_in_flight = lb_in_flight || lb_link_busy_[i].load();
+    // The probe re-checks the links under the locks: a payload extracted
+    // after the precheck keeps its link busy until the receiver absorbs
+    // it, which needs the receiver's block lock — held here.
     const algo::OracleSnapshot snap =
-        algo::oracle_probe(*fleet_, lb_in_flight, config_.tolerance);
+        algo::oracle_probe(*fleet_, config_.tolerance);
     if (!snap.converged) return;
     // Audit trail for the no-early-detection invariant: record exactly
     // what the probe verified at the instant it decided to halt.
@@ -501,7 +472,8 @@ class ThreadEngine final : public algo::Transport,
     if (trace_) links_.record(*trace_);
     result.data_messages = links_.frames_sent();
     result.control_messages = control_messages_;
-    result.bytes_sent += links_.bytes_sent() + control_bytes_;
+    result.bytes_sent +=
+        links_.bytes_sent() + control_messages_ * kControlMessageBytes;
     result.detection_gap = detection_gap_;
     result.detection_max_residual = detection_max_residual_;
     if (injector_) {
@@ -527,7 +499,6 @@ class ThreadEngine final : public algo::Transport,
   /// Per-directed-link byte accounting; each worker charges only its own
   /// outgoing links, and the totals are read after join.
   algo::LinkMeters links_;
-  std::unique_ptr<std::atomic<bool>[]> lb_link_busy_;
   std::unique_ptr<algo::DetectionProtocol> protocol_;
   std::unique_ptr<runtime::FaultInjector> injector_;
   trace::ExecutionTrace* trace_ = nullptr;
@@ -538,7 +509,6 @@ class ThreadEngine final : public algo::Transport,
   /// drained control frames) and guards the control counters.
   runtime::OrderedMutex detection_mutex_;
   std::size_t control_messages_ = 0;
-  std::size_t control_bytes_ = 0;
   // Written once by whichever thread takes the halt decision (all block
   // locks held), read after join; -1 marks "never converged".
   double detection_gap_ = -1.0;

@@ -21,8 +21,10 @@
 
 #include "algo/detection.hpp"
 #include "algo/processor_core.hpp"
+#include "algo/trace_sink.hpp"
 #include "net/wire.hpp"
 #include "runtime/buffer_pool.hpp"
+#include "trace/execution_trace.hpp"
 
 namespace aiac::net {
 
@@ -267,11 +269,6 @@ class NetWorker final : public FrameSink,
         throw std::runtime_error("hello to rank " + std::to_string(l) +
                                  " failed");
       }
-      // If our Hello advertised any features, the listener replies with
-      // its own Hello as the first frame on the link; the normal pump
-      // picks it up. Until it arrives (or forever, against a legacy peer
-      // that never replies) the link runs full boundary frames — the
-      // always-safe fallback.
       transport_.adopt_peer(l, fd);
     }
     for (std::size_t k = rank_ + 1; k < processors_; ++k) {
@@ -294,26 +291,15 @@ class NetWorker final : public FrameSink,
         throw std::runtime_error("bad hello handshake");
       }
       Hello hello;
+      // Both ends were forked with one EngineConfig, so a Hello whose
+      // features differ from ours is as inconsistent as a wrong fleet size.
       if (!decode_hello(view.payload, hello) ||
           hello.processors != processors_ || hello.rank <= rank_ ||
+          hello.features != local_features() ||
           transport_.peer_open(hello.rank)) {
         ::close(fd);
         throw std::runtime_error("inconsistent hello");
       }
-      // A connector that advertised features expects our advertisement
-      // back; reply before adopting so the Hello is the first frame it
-      // reads on the link. A legacy connector (features == 0) gets no
-      // reply and keeps exchanging full boundary frames.
-      if (hello.features != 0) {
-        std::vector<std::uint8_t> reply;
-        encode_hello({rank_, processors_, local_features()}, reply);
-        if (!write_all(fd, reply, net_.transport.handshake_timeout_s)) {
-          ::close(fd);
-          throw std::runtime_error("hello reply to rank " +
-                                   std::to_string(hello.rank) + " failed");
-        }
-      }
-      transport_.set_peer_features(hello.rank, hello.features);
       // A fast peer may already have pipelined data frames behind its
       // Hello; hand the surplus bytes over with the connection.
       transport_.adopt_peer(
@@ -323,7 +309,7 @@ class NetWorker final : public FrameSink,
     ::close(listener_fd);
   }
 
-  /// Capability bits this worker advertises in its Hello frames.
+  /// Capability bits this worker's Hello frames carry.
   std::uint64_t local_features() const {
     return config_.delta_boundaries ? kFeatureDeltaBoundary : 0;
   }
@@ -397,17 +383,9 @@ class NetWorker final : public FrameSink,
       const double start = now();
       const auto stats = core_.run_iteration();
       core_.finish_iteration(stats, start, *this);
-      if (collect_trace_) {
-        trace::IterationRecord it;
-        it.rank = rank_;
-        it.iteration = core_.iteration();
-        it.start = start;
-        it.end = now();
-        it.work = stats.work;
-        it.residual = stats.residual;
-        it.components = core_.components();
-        trace_iterations_.push_back(it);
-      }
+      if (collect_trace_)
+        algo::emit_iteration(&trace_, rank_, core_.iteration(), start, now(),
+                             stats.work, stats.residual, core_.components());
 
       // A neighbor holding last pass's boundary gains nothing from a
       // bitwise-identical copy: send only when this iterate could have
@@ -448,13 +426,9 @@ class NetWorker final : public FrameSink,
       msg.rows = row_pool_.acquire();
       core_.fill_boundary(side, msg);
       if (collect_trace_) {
-        trace::MessageRecord record;
-        record.src = rank_;
-        record.dst = peer;
-        record.send_time = record.receive_time = now();
-        record.bytes = msg.byte_size();
-        record.kind = trace::MessageKind::kBoundaryData;
-        trace_messages_.push_back(record);
+        const double t = now();
+        algo::emit_message(&trace_, rank_, peer, t, t, msg.byte_size(),
+                           trace::MessageKind::kBoundaryData);
       }
       transport_.send_boundary(rank_, side, std::move(msg));
     }
@@ -492,19 +466,10 @@ class NetWorker final : public FrameSink,
       return;
     }
     if (collect_trace_) {
-      trace::MigrationRecord record;
-      record.src = rank_;
-      record.dst = peer;
-      record.time = now();
-      record.components = payload.owned_count;
-      trace_migrations_.push_back(record);
-      trace::MessageRecord msg;
-      msg.src = rank_;
-      msg.dst = peer;
-      msg.send_time = msg.receive_time = now();
-      msg.bytes = payload.byte_size();
-      msg.kind = trace::MessageKind::kLoadBalance;
-      trace_messages_.push_back(msg);
+      const double t = now();
+      algo::emit_migration(&trace_, rank_, peer, t, payload.owned_count);
+      algo::emit_message(&trace_, rank_, peer, t, t, payload.byte_size(),
+                         trace::MessageKind::kLoadBalance);
     }
     link.awaiting_ack = true;
     transport_.send_migration(rank_, side, std::move(payload));
@@ -562,20 +527,23 @@ class NetWorker final : public FrameSink,
       // Chunked so one frame never exceeds the payload cap even for very
       // long runs.
       constexpr std::size_t kChunk = 1 << 16;
-      for (std::size_t i = 0; i < trace_iterations_.size(); i += kChunk)
+      const auto& iterations = trace_.iterations();
+      const auto& messages = trace_.messages();
+      const auto& migrations = trace_.migrations();
+      for (std::size_t i = 0; i < iterations.size(); i += kChunk)
         encode_trace_iterations(
-            std::span(trace_iterations_)
-                .subspan(i, std::min(kChunk, trace_iterations_.size() - i)),
+            std::span(iterations)
+                .subspan(i, std::min(kChunk, iterations.size() - i)),
             out);
-      for (std::size_t i = 0; i < trace_messages_.size(); i += kChunk)
+      for (std::size_t i = 0; i < messages.size(); i += kChunk)
         encode_trace_messages(
-            std::span(trace_messages_)
-                .subspan(i, std::min(kChunk, trace_messages_.size() - i)),
+            std::span(messages)
+                .subspan(i, std::min(kChunk, messages.size() - i)),
             out);
-      for (std::size_t i = 0; i < trace_migrations_.size(); i += kChunk)
+      for (std::size_t i = 0; i < migrations.size(); i += kChunk)
         encode_trace_migrations(
-            std::span(trace_migrations_)
-                .subspan(i, std::min(kChunk, trace_migrations_.size() - i)),
+            std::span(migrations)
+                .subspan(i, std::min(kChunk, migrations.size() - i)),
             out);
       // Per-link comms totals (full/delta frame mix, wire bytes both
       // directions) — at most two links per worker.
@@ -611,9 +579,9 @@ class NetWorker final : public FrameSink,
   double detection_residual_ = -1.0;
   double pending_disturbance_ = -1.0;
 
-  std::vector<trace::IterationRecord> trace_iterations_;
-  std::vector<trace::MessageRecord> trace_messages_;
-  std::vector<trace::MigrationRecord> trace_migrations_;
+  /// This rank's trace (filled only when collect_trace_), shipped to the
+  /// launcher as Trace* frames by write_result.
+  trace::ExecutionTrace trace_;
 };
 
 /// What the parent decoded from one child's result pipe.

@@ -66,7 +66,10 @@ SocketTransport::SocketTransport(std::size_t rank, std::size_t processors,
                      ode::BoundaryDeltaSender(ode::BoundaryDeltaSender::Config{
                          config.delta_threshold,
                          config.delta_refresh_period})),
-      t0_(monotonic_seconds()) {}
+      t0_(monotonic_seconds()) {
+  poll_fds_.reserve(processors);
+  poll_ranks_.reserve(processors);
+}
 
 SocketTransport::~SocketTransport() {
   for (auto& peer : peers_)
@@ -106,13 +109,6 @@ void SocketTransport::adopt_peer(std::size_t r, int fd,
     peer.bytes_from += leftover.size();
     dispatch_frames(r);
   }
-}
-
-void SocketTransport::set_peer_features(std::size_t r,
-                                        std::uint64_t features) {
-  Peer& peer = peer_for(r);
-  peer.features = features;
-  peer.hello_seen = true;
 }
 
 void SocketTransport::enqueue(std::size_t dst, OutFrame&& frame) {
@@ -171,8 +167,7 @@ void SocketTransport::send_boundary(std::size_t src, algo::Side toward,
   frame.payload = byte_pool_->acquire();
   frame.payload.clear();
   bool is_full = true;
-  if (config_.delta_boundaries &&
-      (peer.features & kFeatureDeltaBoundary) != 0) {
+  if (config_.delta_boundaries) {
     // Replacing a queued unsent full with a delta would thin against a
     // baseline that never reaches the peer — force a rebase instead.
     const bool force_full = slot_live && peer.boundary_q_full;
@@ -441,22 +436,9 @@ bool SocketTransport::dispatch_frames(std::size_t r) {
         }
         break;
       }
-      case FrameType::kHello: {
-        // The listener's reply Hello: its feature advertisement arriving
-        // as the first frame on a connector-side link. Anything else —
-        // a duplicate, a mismatched identity — is a protocol violation.
-        Hello hello;
-        payload_ok = decode_hello(view.payload, hello) && !peer.hello_seen &&
-                     hello.rank == r && hello.processors == processors_;
-        if (payload_ok) {
-          peer.hello_seen = true;
-          peer.features = hello.features;
-        }
-        break;
-      }
       default:
-        // A launcher-only frame type on a worker link: a protocol
-        // violation.
+        // A handshake or launcher-only frame type on a worker link: a
+        // protocol violation.
         payload_ok = false;
         break;
     }
@@ -544,10 +526,10 @@ void SocketTransport::write_to(std::size_t r) {
 }
 
 void SocketTransport::pump(int timeout_ms) {
-  std::vector<pollfd> fds;
-  std::vector<std::size_t> ranks;
-  fds.reserve(processors_);
-  ranks.reserve(processors_);
+  std::vector<pollfd>& fds = poll_fds_;
+  std::vector<std::size_t>& ranks = poll_ranks_;
+  fds.clear();
+  ranks.clear();
   for (std::size_t r = 0; r < processors_; ++r) {
     const Peer& peer = peers_[r];
     if (peer.fd < 0) continue;

@@ -16,8 +16,9 @@
 // frames in place into the sink's persistent inbox storage.
 //
 // Boundary sends are delta-thinned per link (ode::BoundaryDeltaSender)
-// when the peer's Hello advertised kFeatureDeltaBoundary; against a
-// legacy peer every boundary goes out as a full frame.
+// when TransportConfig::delta_boundaries is set. Every worker runs the
+// same config, which the Hello handshake checks, so both ends of a link
+// agree without negotiating.
 //
 // Everything is single-threaded within the worker: pump() is the only
 // place bytes enter or leave, and it dispatches complete frames to a
@@ -26,6 +27,8 @@
 // connection error, or a send queue no peer drains within the write-stall
 // timeout all arrive as FrameSink::on_peer_down.
 #pragma once
+
+#include <poll.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -66,12 +69,11 @@ struct TransportConfig {
   /// honest.
   std::size_t socket_buffer_bytes = 1 << 20;
 
-  /// Delta boundary frames (DESIGN.md §14): when true AND the peer's
-  /// Hello advertised kFeatureDeltaBoundary, boundary sends on that link
-  /// are thinned to the rows that moved more than delta_threshold since
-  /// the last full frame, with a forced full refresh every
-  /// delta_refresh_period sends. When false the feature is neither used
-  /// nor advertised and every boundary goes out full.
+  /// Delta boundary frames (DESIGN.md §14): when true, boundary sends are
+  /// thinned to the rows that moved more than delta_threshold since the
+  /// last full frame, with a forced full refresh every
+  /// delta_refresh_period sends. When false every boundary goes out
+  /// full. The receiver decodes either kind regardless.
   bool delta_boundaries = true;
   double delta_threshold = 0.0;
   std::size_t delta_refresh_period = ode::kDeltaRefreshPeriod;
@@ -124,13 +126,6 @@ class SocketTransport final : public algo::Transport {
   /// are the prefix of the frame stream and are dispatched immediately.
   void adopt_peer(std::size_t r, int fd,
                   std::span<const std::uint8_t> leftover = {});
-
-  /// Capability bits the peer's handshake Hello advertised (the listener
-  /// side learns them during wiring; the connector side picks them up
-  /// from the listener's reply Hello, which arrives as the first frame on
-  /// the link). Until set, the peer advertises nothing and every
-  /// boundary goes out as a full frame — always safe.
-  void set_peer_features(std::size_t r, std::uint64_t features);
 
   // ---- algo::Transport ------------------------------------------------
 
@@ -208,10 +203,6 @@ class SocketTransport final : public algo::Transport {
     bool goodbye_received = false;
     bool goodbye_sent = false;
     bool peer_failed = false;  // its Goodbye carried the failed flag
-    /// Feature bits from the peer's Hello; hello_seen guards against a
-    /// second post-handshake Hello rewriting them mid-run.
-    std::uint64_t features = 0;
-    bool hello_seen = false;
     std::vector<std::uint8_t> inbuf;
     /// Send queue: scatter-gather frames (header block + pooled payload);
     /// front_pos tracks the partial write into the front frame, counted
@@ -269,6 +260,10 @@ class SocketTransport final : public algo::Transport {
   ode::BoundaryDeltaMessage delta_send_scratch_;
   ode::BoundaryDeltaMessage delta_recv_scratch_;
   ode::MigrationPayload migration_scratch_;
+  // pump()'s poll set, one entry per open peer; reserved for every rank
+  // at construction so the per-pass rebuild never allocates.
+  std::vector<pollfd> poll_fds_;
+  std::vector<std::size_t> poll_ranks_;
   double t0_ = 0.0;
   std::size_t data_messages_ = 0;
   std::size_t control_messages_ = 0;

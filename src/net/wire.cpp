@@ -300,9 +300,7 @@ bool decode_hello(std::span<const std::uint8_t> payload, Hello& hello) {
   WireReader r(payload);
   hello.rank = r.size();
   hello.processors = r.size();
-  // The features word is optional: a legacy 16-byte Hello (pre-delta
-  // peers) decodes as features == 0 and gets full boundary frames.
-  hello.features = r.remaining() > 0 ? r.u64() : 0;
+  hello.features = r.u64();
   return r.done() && hello.processors > 0 && hello.rank < hello.processors;
 }
 

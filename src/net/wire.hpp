@@ -193,9 +193,10 @@ DecodeStatus try_extract_frame(std::span<const std::uint8_t> buffer,
 // (sizes that disagree with the payload length, unknown enum values).
 // Decoded rows reuse the capacity of the caller's vectors.
 
-/// Capability bits advertised in Hello (bitwise OR). A legacy 16-byte
-/// Hello payload decodes as features == 0, so a peer that predates the
-/// field simply advertises nothing and gets full boundary frames.
+/// Capability bits a Hello carries (bitwise OR). Every worker is forked
+/// from one launcher with one EngineConfig, so both ends of a link hold
+/// the same bits; the listener rejects a Hello whose bits differ from its
+/// own (and a Hello without the features word) instead of negotiating.
 inline constexpr std::uint64_t kFeatureDeltaBoundary = 1;
 
 struct Hello {

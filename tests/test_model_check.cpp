@@ -154,6 +154,23 @@ TEST(MutationSelfTest, FamineMutantIsCaughtExhaustively) {
             "famine-guard");
 }
 
+// Hide the link flags from the planner (test-only hook, algo::mutation):
+// ranks then plan migrations onto links a neighbour already claimed, the
+// fleet's claim refuses them, and the checker must report the breach.
+TEST(MutationSelfTest, HiddenLinkFlagsAreCaughtAsDisciplineBreach) {
+  const algo::mutation::ScopedLinkFlagsHidden hidden;
+  ExploreOptions options;
+  options.max_schedules = 200;
+  options.seed = 7;
+  const ExploreReport report = check::explore_random(
+      ModelConfig{}, InvariantSuite::standard(), options);
+  ASSERT_TRUE(report.first_failure.has_value())
+      << "hidden flags survived " << report.schedules_explored
+      << " schedules";
+  EXPECT_EQ(report.first_failure->violations.front().invariant,
+            "migration-flag-discipline");
+}
+
 TEST(MutationSelfTest, RecordedFailureReplaysByteIdentically) {
   ExploreOptions options;
   options.max_schedules = 200;

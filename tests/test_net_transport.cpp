@@ -1,9 +1,9 @@
 // In-process SocketTransport tests over a socketpair: two transports wired
-// back to back with fake FrameSinks, exercising the delta negotiation both
-// ways (a capable pair thins to delta frames, a featureless peer keeps
-// getting full frames — the always-safe fallback) and the zero-copy
-// receive path (full frames decode into the sink's persistent inbox,
-// deltas patch it in place with the epoch rule).
+// back to back with fake FrameSinks, exercising the delta switch both ways
+// (an enabled sender thins a quiet link to delta frames, a disabled one
+// sends full frames only) and the zero-copy receive path (full frames
+// decode into the sink's persistent inbox, deltas patch it in place with
+// the epoch rule).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -70,7 +70,7 @@ class TestSink final : public net::FrameSink {
 };
 
 /// A rank-0/rank-1 pair joined by a socketpair (the handshake is assumed
-/// already done; features are injected directly where a test wants them).
+/// already done).
 struct LinkedPair {
   net::TransportConfig config;
   runtime::BytePool byte_pool_a, byte_pool_b;
@@ -116,7 +116,6 @@ ode::BoundaryMessage boundary(std::size_t iteration, double value) {
 
 TEST(NetTransportNegotiation, CapablePairThinsQuietLinkToDeltas) {
   LinkedPair pair;
-  pair.a->set_peer_features(1, net::kFeatureDeltaBoundary);
 
   // First send rebases (full); later sends drift within the threshold
   // and must leave as deltas that keep the receiver's inbox current.
@@ -148,7 +147,6 @@ TEST(NetTransportNegotiation, CapablePairThinsQuietLinkToDeltas) {
 
 TEST(NetTransportNegotiation, RowsBeyondThresholdArriveExactly) {
   LinkedPair pair(/*threshold=*/0.25);
-  pair.a->set_peer_features(1, net::kFeatureDeltaBoundary);
 
   pair.a->send_boundary(0, Side::kRight, boundary(1, 1.0));
   pair.pump_both();
@@ -163,27 +161,9 @@ TEST(NetTransportNegotiation, RowsBeyondThresholdArriveExactly) {
   EXPECT_EQ(pair.sink_b.inbox(0).sender_iteration, 2u);
 }
 
-TEST(NetTransportNegotiation, FeaturelessPeerGetsFullFramesForever) {
-  // The legacy fallback: the peer never advertised the delta feature
-  // (set_peer_features is never called for it), so every boundary leaves
-  // as a full frame no matter how quiet the link is.
-  LinkedPair pair;
-  for (std::size_t it = 1; it <= 5; ++it) {
-    pair.a->send_boundary(0, Side::kRight, boundary(it, 1.0));
-    pair.pump_both();
-  }
-  EXPECT_EQ(pair.sink_b.fulls, 5u);
-  EXPECT_EQ(pair.sink_b.deltas, 0u);
-  EXPECT_EQ(pair.sink_b.inbox(0).sender_iteration, 5u);
-  const trace::CommsRecord comms = pair.a->comms_record(1);
-  EXPECT_EQ(comms.frames_full, 5u);
-  EXPECT_EQ(comms.frames_delta, 0u);
-  EXPECT_EQ(comms.rows_suppressed, 0u);
-}
-
 TEST(NetTransportNegotiation, DisabledConfigNeverThinsEvenWithCapablePeer) {
-  // Local config wins: with delta_boundaries off, the peer may advertise
-  // the feature all it wants — every boundary still leaves full.
+  // The sender's config decides: with delta_boundaries off, every
+  // boundary leaves full, even toward a peer that has deltas on.
   net::TransportConfig disabled;
   disabled.delta_boundaries = false;
   net::TransportConfig enabled;
@@ -196,7 +176,6 @@ TEST(NetTransportNegotiation, DisabledConfigNeverThinsEvenWithCapablePeer) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   a.adopt_peer(1, fds[0]);
   b.adopt_peer(0, fds[1]);
-  a.set_peer_features(1, net::kFeatureDeltaBoundary);
 
   for (std::size_t it = 1; it <= 4; ++it) {
     a.send_boundary(0, Side::kRight, boundary(it, 1.0));
@@ -211,7 +190,6 @@ TEST(NetTransportNegotiation, DisabledConfigNeverThinsEvenWithCapablePeer) {
 
 TEST(NetTransportNegotiation, RefreshPeriodResyncsOnTheWire) {
   LinkedPair pair(/*threshold=*/0.25, /*refresh_period=*/3);
-  pair.a->set_peer_features(1, net::kFeatureDeltaBoundary);
   for (std::size_t it = 1; it <= 9; ++it) {
     pair.a->send_boundary(0, Side::kRight, boundary(it, 1.0));
     pair.pump_both();

@@ -188,20 +188,17 @@ void ref_f64(std::vector<std::uint8_t>& out, double v) {
   ref_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
-TEST(NetWireCompat, Legacy16ByteHelloDecodesAsFeatureless) {
-  // A peer that predates the features word sends rank + processors only.
-  // Decoding must succeed with features == 0 — the negotiation rule then
-  // keeps that link on full boundary frames forever, which is the
-  // always-correct fallback (deltas need both ends to opt in).
+TEST(NetWireCompat, Legacy16ByteHelloIsRejected) {
+  // The features word is part of the one Hello layout: a payload of rank
+  // + processors only is malformed, not a featureless peer.
   std::vector<std::uint8_t> payload;
   ref_u64(payload, 3);
   ref_u64(payload, 8);
   Hello hello;
-  hello.features = kFeatureDeltaBoundary;  // stale value must be cleared
-  ASSERT_TRUE(decode_hello(payload, hello));
-  EXPECT_EQ(hello.rank, 3u);
-  EXPECT_EQ(hello.processors, 8u);
-  EXPECT_EQ(hello.features & kFeatureDeltaBoundary, 0u);
+  EXPECT_FALSE(decode_hello(payload, hello));
+  ref_u64(payload, kFeatureDeltaBoundary);
+  EXPECT_TRUE(decode_hello(payload, hello));
+  EXPECT_EQ(hello.features, kFeatureDeltaBoundary);
 }
 
 TEST(NetWireGolden, TokenRequestLayout) {

@@ -157,6 +157,36 @@ TEST(SimEngine, LoadBalancingPreservesSolutionAndComponents) {
   for (std::size_t c : result.final_components) EXPECT_GE(c, 4u);
 }
 
+TEST(SimEngine, EveryStopOwnsEveryComponentOnce) {
+  // Stops at every iteration budget of an LB run whose neighbours sit on
+  // distinct sites joined by a WAN slower than an iteration: many stops
+  // land while a payload is still on its link, and the run must hand it
+  // to its receiver before assembling the solution.
+  const auto system = test_system(32);
+  grid::HeterogeneousGridParams params;
+  params.machines = 4;
+  params.seed = 99;
+  params.wan = grid::LinkParams{.latency = 1.0, .bandwidth = 2e4,
+                                .jitter_sigma = 0.0};
+  auto config = base_config();
+  config.scheme = Scheme::kAIAC;
+  config.load_balancing = true;
+  config.balancer.trigger_period = 2;
+  config.balancer.min_components = 4;
+  std::size_t migrating_stops = 0;
+  for (std::size_t budget = 1; budget <= 40; ++budget) {
+    config.max_iterations_per_processor = budget;
+    auto het_grid = grid::make_heterogeneous_grid(params);
+    const auto result = core::run_simulated(system, *het_grid, config);
+    const std::size_t total = std::accumulate(
+        result.final_components.begin(), result.final_components.end(),
+        std::size_t{0});
+    EXPECT_EQ(total, system.dimension()) << "budget " << budget;
+    if (result.migrations > 0) ++migrating_stops;
+  }
+  EXPECT_GT(migrating_stops, 0u);
+}
+
 TEST(SimEngine, LoadBalancingSpeedsUpHeterogeneousGrid) {
   const auto system = test_system(48);
   auto config = base_config();
