@@ -26,8 +26,9 @@
 #                              # every workload at smoke size, then the
 #                              # checker self-test
 #   scripts/ci.sh model-check  # model_check smokes: exhaustive 3-iteration
-#                              # tree, random sweep, and the famine mutant,
-#                              # which the checker must catch
+#                              # oracle and coordinator trees (each must be
+#                              # fully enumerated), random sweep, and the
+#                              # famine mutant, which the checker must catch
 #   scripts/ci.sh net-smoke    # net_run: 2-rank loopback solve, then the
 #                              # same against the simulated backend
 #
@@ -155,12 +156,24 @@ bench_e2e() {
   python3 aiacbench/run.py --self-test
 }
 
+exhaustive_smoke() {
+  local out
+  out=$(./build/tools/model_check --mode=exhaustive "$@")
+  echo "$out"
+  if ! grep -q "tree fully enumerated" <<<"$out"; then
+    echo "exhaustive smoke ($*) did not enumerate its full tree" >&2
+    exit 1
+  fi
+}
+
 model_check() {
   echo "==> model-check: exhaustive + random smokes, famine mutant"
   cmake -B build -S . >/dev/null
   cmake --build build --target model_check -j"$jobs"
-  # Full decision tree at a 3-iteration horizon.
-  ./build/tools/model_check --mode=exhaustive --iters=3 --schedules=100000
+  # Full decision trees at a 3-iteration horizon, oracle and coordinator.
+  # A clean but truncated tree proves nothing, so each must be complete.
+  exhaustive_smoke --iters=3 --schedules=100000
+  exhaustive_smoke --iters=3 --schedules=2000000 --detection=coordinator
   ./build/tools/model_check --mode=random --schedules=2000 --seed=42
   # Mutation self-test: the famine mutant must be caught (non-zero exit).
   if ./build/tools/model_check --mode=random --mutate-famine \

@@ -36,17 +36,14 @@ class DetectionDriver {
 
   /// Evaluated at `rank` when a coordinator verification request is
   /// delivered (see coordinator verification below): may this node confirm
-  /// its convergence report right now? The default repeats
-  /// locally_converged; every production driver answers with
+  /// its convergence report right now? Every driver answers with
   /// ProcessorCore::can_confirm — which also vetoes when a
   /// delivered-but-unfolded boundary update would move the ghost rows by
   /// more than the tolerance, so the in-flight data that undermined the
   /// sender's report blocks the halt once it lands — plus its own link
   /// query. Only local state may be consulted: the request is a control
   /// message, not a global snapshot.
-  virtual bool confirm_converged(std::size_t rank) const {
-    return locally_converged(rank);
-  }
+  virtual bool confirm_converged(std::size_t rank) const = 0;
 
   /// Distributes the halt decision to every processor (with control
   /// latency and accounting) and ends the run once all are down.

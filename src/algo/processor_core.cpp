@@ -132,12 +132,11 @@ ode::WaveformBlock::IterationStats ProcessorCore::run_iteration() {
 }
 
 void ProcessorCore::finish_iteration(
-    const ode::WaveformBlock::IterationStats& stats, double start_time,
-    ClockModel& clock) {
+    const ode::WaveformBlock::IterationStats& stats, double seconds) {
   iteration_ += 1;
   residual_stale_ = false;  // this iterate covers any absorbed rows
   last_residual_ = stats.residual;
-  last_seconds_ = clock.now() - start_time;
+  last_seconds_ = seconds;
   last_work_ = stats.work;
   total_work_ += stats.work;
   min_seen_ = std::min(min_seen_, block_.count());
@@ -170,13 +169,6 @@ ode::BoundaryMessage ProcessorCore::make_boundary(Side toward) const {
   ode::BoundaryMessage msg;
   fill_boundary(toward, msg);
   return msg;
-}
-
-void ProcessorCore::emit_boundaries(Transport& transport) {
-  if (has_neighbor(Side::kLeft))
-    transport.send_boundary(rank_, Side::kLeft, make_boundary(Side::kLeft));
-  if (has_neighbor(Side::kRight))
-    transport.send_boundary(rank_, Side::kRight, make_boundary(Side::kRight));
 }
 
 bool ProcessorCore::lb_trigger_due() {

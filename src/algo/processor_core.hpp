@@ -11,16 +11,15 @@
 //   ingest_boundary / enqueue_migration   (as messages arrive)
 //   begin_iteration                       (absorb migrations, apply ghosts)
 //   run_iteration                         (the numerics)
-//   make_boundary / emit_boundaries       (outgoing ghost data)
+//   make_boundary / fill_boundary         (outgoing ghost data)
 //   finish_iteration                      (residual, streak, bookkeeping)
 //   lb_trigger_due / plan_migration / extract_migration_into
 //
 // and owns everything else: scheduling, locking, message delivery and the
-// mapping from work units to seconds (see runtime_ifaces.hpp). The
-// in-process drivers reach begin_iteration and the migration steps
-// through CoreFleet, which adds the per-link busy flags. The core is not
-// thread-safe; the threaded driver serializes access per processor with
-// its block mutex.
+// clock. The in-process drivers reach
+// begin_iteration and the migration steps through CoreFleet, which adds
+// the per-link busy flags. The core is not thread-safe; the threaded
+// driver serializes access per processor with its block mutex.
 #pragma once
 
 #include <atomic>
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "algo/partitioner.hpp"
-#include "algo/runtime_ifaces.hpp"
 #include "algo/types.hpp"
 #include "lb/balancer.hpp"
 #include "lb/estimators.hpp"
@@ -128,31 +126,27 @@ class ProcessorCore {
   /// The numerics: one outer waveform iteration over the local block.
   ode::WaveformBlock::IterationStats run_iteration();
 
-  /// Completes the iteration at the driver's chosen instant: `clock.now()
-  /// - start_time` becomes the iteration duration (virtual for the
-  /// simulated driver, wall for the threaded one). Updates the residual,
-  /// the under-tolerance persistence streak and the famine-guard
-  /// instrumentation.
+  /// Completes the iteration, which took `seconds` by the driver's clock
+  /// (virtual for the simulated driver, wall for the measuring ones).
+  /// Updates the residual, the under-tolerance persistence streak and the
+  /// famine-guard instrumentation.
   void finish_iteration(const ode::WaveformBlock::IterationStats& stats,
-                        double start_time, ClockModel& clock);
+                        double seconds);
 
   // ---- Outgoing boundary data ---------------------------------------
 
   /// Boundary rows for the `toward`-side neighbor, stamped with this
   /// core's current iteration count, component count, residual and load
-  /// estimate. The virtual-time driver calls this right after
-  /// run_iteration (so the stamp carries the previous iteration's
-  /// residual, the paper's "residual of previous iteration"); the
-  /// threaded driver calls it after finish_iteration.
+  /// estimate. The fleet machine calls this right after run_iteration
+  /// (so the stamp carries the previous iteration's residual, the paper's
+  /// "residual of previous iteration"); the threaded driver fills after
+  /// finish_iteration.
   ode::BoundaryMessage make_boundary(Side toward) const;
 
   /// Fill-into variant of make_boundary: overwrites `msg` in place,
   /// reusing msg.rows' capacity. With pool-recycled messages the threaded
   /// engine's per-iteration boundary send path is allocation-free.
   void fill_boundary(Side toward, ode::BoundaryMessage& msg) const;
-
-  /// make_boundary + Transport::send_boundary for each existing neighbor.
-  void emit_boundaries(Transport& transport);
 
   // ---- Load balancing (paper §5.2, Algorithms 4-6) ------------------
 

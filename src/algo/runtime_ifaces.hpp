@@ -1,23 +1,21 @@
-// The two narrow interfaces through which the backend-agnostic algorithm
-// layer is driven (see DESIGN.md "The algo layer"):
+// The narrow interfaces through which the backend-agnostic algorithm
+// layer reaches its driver (see DESIGN.md "The algo layer"):
 //
-//  * Transport — how boundary data, migrations and detection control
-//    leave a processor. The virtual-time driver schedules discrete-event
-//    deliveries with grid latencies; the threaded driver pushes into
-//    SlotBox/Mailbox channels; the model checker queues every delivery
-//    for its scheduler; the socket backend writes wire frames.
-//  * ClockModel — how work units map to seconds. The virtual-time driver
-//    predicts durations from the grid model; the measuring drivers read
-//    wall time.
+//  * Transport — how detection control leaves a processor. The fleet
+//    state machine (algo/fleet_machine.hpp) queues each frame for the sim
+//    driver and the model checker; the threaded driver pushes it into a
+//    Mailbox; the socket backend writes a wire frame. Boundary data and
+//    migrations leave through each driver's own channels.
+//  * DetectionDriver (algo/detection.hpp) — local convergence, the
+//    verification veto and the halt fan-out.
 //
-// Everything above these interfaces (ProcessorCore, DetectionProtocol,
-// Partitioner) is identical algorithm code for every backend.
+// The clock is the driver's own: it passes each iteration's duration to
+// ProcessorCore::finish_iteration. Everything above these interfaces
+// (ProcessorCore, DetectionProtocol, Partitioner) is identical algorithm
+// code for every backend.
 #pragma once
 
 #include <cstddef>
-
-#include "algo/types.hpp"
-#include "ode/waveform_block.hpp"
 
 namespace aiac::algo {
 
@@ -44,18 +42,6 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Sends freshly stamped boundary (ghost) data from `src` toward its
-  /// `toward`-side neighbor. The driver owns the departure discipline
-  /// (early/late sends, link mutual exclusion, fault hooks).
-  virtual void send_boundary(std::size_t src, Side toward,
-                             ode::BoundaryMessage msg) = 0;
-
-  /// Ships a load-balancing migration payload from `src` toward its
-  /// `toward`-side neighbor. The per-link at-most-one-in-flight rule is
-  /// enforced by the driver before the payload is extracted.
-  virtual void send_migration(std::size_t src, Side toward,
-                              ode::MigrationPayload payload) = 0;
-
   /// Ships detection control `frame` from `src` to `dst` (possibly `src`
   /// itself). The driver hands it to DetectionProtocol::handle_control(dst,
   /// frame) in `dst`'s execution context after its control latency: at
@@ -64,23 +50,6 @@ class Transport {
   /// measuring ones. The driver accounts message counts/bytes.
   virtual void send_control(std::size_t src, std::size_t dst,
                             const ControlFrame& frame) = 0;
-};
-
-class ClockModel {
- public:
-  virtual ~ClockModel() = default;
-
-  /// Current time in seconds: virtual time for the discrete-event driver,
-  /// wall seconds since run start for the threaded driver.
-  virtual double now() const = 0;
-
-  /// Seconds that `work` work-units starting at `start` occupy on
-  /// processor `rank` while it holds `resident` components. Predictive
-  /// models (the simulated grid) compute this; measuring models (wall
-  /// clock) return a negative sentinel and the driver uses the measured
-  /// elapsed time instead.
-  virtual double work_to_seconds(std::size_t rank, double work, double start,
-                                 double resident) = 0;
 };
 
 }  // namespace aiac::algo

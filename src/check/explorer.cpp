@@ -70,17 +70,17 @@ RunResult run_schedule(const ModelConfig& config, const InvariantSuite& suite,
       choice = options.chooser(enabled.size());
     }
 
-    const Action& action = enabled[choice];
+    std::string described = model.describe(enabled[choice]);
     if (options.strict && options.expected_actions &&
         decision < options.expected_actions->size() &&
-        action.describe() != (*options.expected_actions)[decision])
+        described != (*options.expected_actions)[decision])
       throw std::runtime_error(
           "replay divergence at decision " + std::to_string(decision) +
           ": recorded " + (*options.expected_actions)[decision] +
-          ", model offers " + action.describe());
+          ", model offers " + described);
 
-    model.apply(action);
-    result.schedule.entries.push_back({choice, action.describe()});
+    model.apply(enabled[choice]);
+    result.schedule.entries.push_back({choice, std::move(described)});
     ++result.actions;
     ++decision;
 

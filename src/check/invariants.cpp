@@ -98,17 +98,17 @@ void add_migration_discipline_invariant(InvariantSuite& suite) {
 void add_detection_safety_invariant(InvariantSuite& suite) {
   suite.add("detection-safety", [](const CheckedModel& model)
                 -> std::optional<std::string> {
-    if (!model.halted() || !model.halt_record()) return std::nullopt;
-    const HaltRecord& record = *model.halt_record();
+    if (!model.halted()) return std::nullopt;
+    const algo::OracleSnapshot& record = *model.halt_record();
+    const std::string mode = algo::to_string(model.config().detection);
     if (record.any_core_unstarted)
-      return algo::to_string(record.mode) +
-             " halted before every processor completed an iteration";
+      return mode + " halted before every processor completed an iteration";
     if (record.any_residual_stale)
-      return algo::to_string(record.mode) +
+      return mode +
              " halted while a residual was stale (absorbed components not "
              "yet covered by an iteration)";
     if (record.max_residual > model.config().tolerance)
-      return algo::to_string(record.mode) + " halted with residual " +
+      return mode + " halted with residual " +
              std::to_string(record.max_residual) + " above tolerance " +
              std::to_string(model.config().tolerance);
     return std::nullopt;

@@ -1,22 +1,14 @@
-// The model checker's driver: a third implementation of the algo-layer
-// interfaces (after core/sim_engine and core/thread_engine), in which
-// every source of nondeterminism — who iterates next, when a boundary or
-// migration message is delivered, when a detection control frame is
-// handled — is a scheduler decision instead of a thread race or an
-// event-queue latency.
-//
-// The model is a plain state machine: `enabled_actions()` lists what could
-// happen next, `apply()` makes one of those things happen atomically.
-// The channel kinds are the threaded backend's — latest-value overwrite
-// for boundary data (SlotBox), FIFO per link direction for migrations
-// (Mailbox), FIFO per destination for detection control messages — and
-// the migration-link flags are the same CoreFleet ledger every engine
-// uses. The model is not the threaded driver, though: a step is one
-// atomic iteration, so no delivery lands mid-iterate, and the
-// coordinator's verification veto is DetectionDriver's default
-// `locally_converged`, not the `ProcessorCore::can_confirm` every
-// production driver runs. The ModelCheckFindings cases therefore pin
-// halts of a veto no backend uses (ROADMAP item 4).
+// The model checker's scheduler over algo::FleetMachine, the state
+// machine the virtual-time driver runs: the sim's channels (one FIFO per
+// directed link, AIAC send-skip with its pending retry, emission at
+// start), parking, ProcessorCore::can_confirm veto and measured_audit
+// halt record. Every source of nondeterminism — who iterates next, when a
+// link delivers, when a detection frame is handled — is a scheduler
+// decision here instead of a grid latency. A step is one macro-action
+// (start, its departures, finish), so no delivery lands mid-iterate;
+// control deliveries are the oldest pending frame per destination, and
+// the halt decision ends the model. The threaded backend's latest-value
+// SlotBox is not a checked channel.
 //
 // The explorers (see explorer.hpp) re-execute the model from its initial
 // state for every schedule (stateless model checking, à la CHESS): cores
@@ -25,15 +17,12 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "algo/detection.hpp"
+#include "algo/fleet_machine.hpp"
 #include "algo/processor_core.hpp"
-#include "algo/runtime_ifaces.hpp"
 #include "algo/types.hpp"
 #include "lb/balancer.hpp"
 #include "lb/estimators.hpp"
@@ -88,38 +77,13 @@ struct ModelConfig {
   }
 };
 
-/// One scheduler decision. `describe()` strings are stored in schedule
-/// files and compared on replay, so divergence is detected instead of
-/// silently replaying a different run.
-struct Action {
-  enum class Kind {
-    kStep,             // processor runs one full iteration
-    kDeliverBoundary,  // in-flight boundary message reaches the inbox
-    kDeliverMigration, // in-flight migration payload reaches the queue
-    kDeliverControl,   // queued detection frame is handled at the destination
-  };
-  Kind kind = Kind::kStep;
-  std::size_t target = 0;              // the processor acted upon
-  algo::Side from = algo::Side::kLeft; // boundary/migration arrival side
+/// One scheduler decision: a machine action, where kStart stands for the
+/// whole step. describe() strings are stored in schedule files and
+/// compared on replay, so divergence is detected instead of silently
+/// replaying a different run.
+using Action = algo::FleetAction;
 
-  std::string describe() const;
-};
-
-/// Why and how the run halted, captured at the decision instant — the
-/// detection-safety invariant judges this record against the ground truth
-/// the protocol could not see.
-struct HaltRecord {
-  algo::DetectionMode mode = algo::DetectionMode::kOracle;
-  /// Ground truth over every core at the halt instant.
-  double max_residual = 0.0;
-  double max_interface_gap = 0.0;
-  bool any_residual_stale = false;
-  bool any_core_unstarted = false;
-};
-
-class CheckedModel final : public algo::Transport,
-                           public algo::ClockModel,
-                           public algo::DetectionDriver {
+class CheckedModel {
  public:
   explicit CheckedModel(const ModelConfig& config);
 
@@ -127,90 +91,54 @@ class CheckedModel final : public algo::Transport,
   CheckedModel& operator=(const CheckedModel&) = delete;
 
   // ---- Scheduler interface ------------------------------------------
-  /// Deterministically ordered (steps by rank, then deliveries by rank
-  /// and side, then control) so a schedule is a plain sequence of indices
-  /// into this list. Empty once halted or fully quiescent at the horizon.
+  /// The machine's order (steps by rank, then per rank its link fronts by
+  /// side and its oldest control frame), so a schedule is a plain
+  /// sequence of indices into this list. Empty once halted or fully
+  /// quiescent at the horizon.
   std::vector<Action> enabled_actions() const;
+  /// step(p), deliver-boundary(p,side), deliver-migration(p,side) or
+  /// deliver-control(p), read before the action is applied.
+  std::string describe(const Action& action) const;
   void apply(const Action& action);
   std::size_t actions_applied() const noexcept { return actions_applied_; }
 
   // ---- State observers (invariants, explorers, reports) -------------
   const ModelConfig& config() const noexcept { return config_; }
-  const algo::CoreFleet& fleet() const noexcept { return *fleet_; }
+  const algo::CoreFleet& fleet() const noexcept { return machine_.fleet(); }
   std::size_t processors() const noexcept { return config_.processors; }
   /// Components inside in-flight migration payloads (channel occupancy).
-  std::size_t in_transit_components() const;
+  std::size_t in_transit_components() const {
+    return machine_.in_transit_components();
+  }
   /// The famine floor the invariant holds rank `p` to: min_keep, except
   /// that a core whose initial allotment is already below min_keep is
   /// only held to that allotment (it can legally stay there forever).
   std::size_t famine_floor(std::size_t p) const;
   /// Migration payloads in flight toward `p` on `side` (discipline: ≤ 1).
   std::size_t migration_channel_depth(std::size_t p, algo::Side side) const;
-  bool halted() const noexcept { return halted_; }
-  const std::optional<HaltRecord>& halt_record() const noexcept {
-    return halt_record_;
+  /// Why and how the run halted: the ground truth over every core at the
+  /// decision instant, which the detection-safety invariant judges.
+  const std::optional<algo::OracleSnapshot>& halt_record() const noexcept {
+    return machine_.halt_audit();
   }
-  /// Migration-protocol discipline breaches observed by the driver while
-  /// applying actions (double-claimed link, overfull channel). Collected
-  /// here because they are visible mid-action, not in the quiescent state
-  /// the invariant suite inspects.
+  bool halted() const noexcept { return halt_record().has_value(); }
+  /// Migration-protocol discipline breaches observed while applying
+  /// actions (a migration planned on a busy link). Collected here because
+  /// they are visible mid-action, not in the quiescent state the
+  /// invariant suite inspects.
   const std::vector<std::string>& discipline_breaches() const noexcept {
     return discipline_breaches_;
   }
 
-  // ---- algo::Transport ----------------------------------------------
-  void send_boundary(std::size_t src, algo::Side toward,
-                     ode::BoundaryMessage msg) override;
-  void send_migration(std::size_t src, algo::Side toward,
-                      ode::MigrationPayload payload) override;
-  void send_control(std::size_t src, std::size_t dst,
-                    const algo::ControlFrame& frame) override;
-
-  // ---- algo::ClockModel ---------------------------------------------
-  /// Logical time: one tick per applied action. Durations are meaningless
-  /// under adversarial scheduling; the invariants never read them.
-  double now() const override { return static_cast<double>(logical_time_); }
-  double work_to_seconds(std::size_t, double, double, double) override {
-    return -1.0;  // measuring-driver sentinel, as in the threaded backend
-  }
-
-  // ---- algo::DetectionDriver ----------------------------------------
-  bool locally_converged(std::size_t rank) const override;
-  void broadcast_halt() override;
-
  private:
-  struct Channels {
-    /// Latest-value boundary slot per arrival side (SlotBox semantics:
-    /// a later send overwrites an undelivered one).
-    std::optional<ode::BoundaryMessage> boundary_left;
-    std::optional<ode::BoundaryMessage> boundary_right;
-    /// FIFO migration channel per arrival side (Mailbox semantics).
-    std::deque<ode::MigrationPayload> migration_left;
-    std::deque<ode::MigrationPayload> migration_right;
-    /// FIFO detection-control deliveries for this destination.
-    std::deque<algo::ControlFrame> control;
-  };
-
-  void step(std::size_t p);
-  void try_load_balance(std::size_t p);
-  void run_oracle();
-  void record_halt(algo::DetectionMode mode, const algo::OracleSnapshot& snap);
-  std::optional<ode::BoundaryMessage>& boundary_slot(std::size_t p,
-                                                     algo::Side side);
-  std::deque<ode::MigrationPayload>& migration_queue(std::size_t p,
-                                                     algo::Side side);
+  void apply_to_machine(const Action& action);
 
   ModelConfig config_;
-  std::unique_ptr<ode::LinearDiffusion> system_;
-  std::unique_ptr<algo::CoreFleet> fleet_;
-  std::unique_ptr<algo::DetectionProtocol> protocol_;
-  std::vector<Channels> channels_;
+  ode::LinearDiffusion system_;
+  algo::FleetMachine machine_;
   std::vector<std::size_t> initial_components_;
   std::vector<std::string> discipline_breaches_;
-  std::optional<HaltRecord> halt_record_;
   std::size_t actions_applied_ = 0;
-  std::size_t logical_time_ = 0;
-  bool halted_ = false;
 };
 
 }  // namespace aiac::check

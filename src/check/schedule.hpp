@@ -18,7 +18,7 @@ namespace aiac::check {
 struct ScheduleEntry {
   /// Index into CheckedModel::enabled_actions() at that decision point.
   std::size_t choice = 0;
-  /// Action::describe() of the chosen action when recorded.
+  /// CheckedModel::describe() of the chosen action when recorded.
   std::string action;
 };
 

@@ -61,7 +61,6 @@ EngineResult fleet_result(algo::CoreFleet& fleet, std::size_t dimension,
       result.final_max_residual =
           std::max(result.final_max_residual, core.last_residual());
   }
-  result.lb_messages = result.migrations;
   return result;
 }
 

@@ -67,13 +67,14 @@ struct EngineConfig {
   double receive_filter_factor = 0.01;
 
   // Delta-encoded boundary frames (DESIGN.md §14). The socket backend
-  // negotiates the feature in Hello and thins each boundary send down to
-  // the rows that moved; the sim/thread engines deliver full values but
-  // charge the same bytes-on-wire metric so cross-engine byte accounting
-  // stays comparable. Threshold and refresh period are the constants
-  // kDeltaThresholdFactor and ode::kDeltaRefreshPeriod.
-  /// Master switch: when false the feature is never advertised and every
-  /// backend charges full-frame sizes.
+  // thins each boundary send down to the rows that moved; the sim/thread
+  // engines deliver full values but charge the same bytes-on-wire metric
+  // so cross-engine byte accounting stays comparable. Threshold and
+  // refresh period are the constants kDeltaThresholdFactor and
+  // ode::kDeltaRefreshPeriod.
+  /// Master switch: when false every backend sends and charges full
+  /// frames. All socket ranks of a run share it; a Hello whose features
+  /// differ is rejected.
   bool delta_boundaries = true;
 
   std::size_t max_iterations_per_processor = 500000;
@@ -97,7 +98,8 @@ struct EngineConfig {
   /// SIAC/AIAC dispatch the leftward boundary data early in the iteration
   /// (paper Fig. 2-4: "the first half of data is sent as soon as
   /// updated"); this is the fraction of the iteration after which it
-  /// leaves. SISC sends everything at the end.
+  /// leaves, in [0, 1] (the sim rejects others). SISC sends everything at
+  /// the end.
   double early_send_fraction = 0.1;
 
   /// Event-driven idling: an AIAC processor whose iteration changed
@@ -141,7 +143,6 @@ struct EngineResult {
   double total_work = 0.0;
 
   std::size_t data_messages = 0;
-  std::size_t lb_messages = 0;
   std::size_t control_messages = 0;
   std::size_t bytes_sent = 0;
   std::size_t migrations = 0;

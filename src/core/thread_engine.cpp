@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -50,11 +49,9 @@ struct ThreadProc {
   /// detection mutex.
   runtime::Mailbox<algo::ControlFrame> control{&notifier};
 
-  // Mirrors of core state, published by the owner after each iteration so
-  // the leader's oracle precheck and the detection protocol can read them
-  // without taking block_mutex.
-  std::atomic<std::size_t> iteration{0};
-  std::atomic<double> residual{std::numeric_limits<double>::infinity()};
+  // Mirror of the core's local convergence, published by the owner after
+  // each iteration so the detection protocol can read it without taking
+  // block_mutex.
   std::atomic<bool> locally_converged{false};
 
   // Chaos layer (null when disabled): compute stalls + LB-trigger skew.
@@ -62,11 +59,11 @@ struct ThreadProc {
 };
 
 /// The threaded driver: real threads over the shared algorithm objects.
-/// Implements Transport by pushing into the neighbor's channels, the
-/// ClockModel by measuring wall time, and the DetectionDriver over the
-/// atomic mirrors.
+/// Pushes boundaries and migrations into the neighbor's channels,
+/// implements Transport with per-thread control mailboxes and the
+/// DetectionDriver over the atomic convergence mirror; iterations are
+/// timed on the wall clock.
 class ThreadEngine final : public algo::Transport,
-                           public algo::ClockModel,
                            public algo::DetectionDriver {
  public:
   ThreadEngine(const ode::OdeSystem& system, std::size_t processors,
@@ -137,23 +134,16 @@ class ThreadEngine final : public algo::Transport,
     return assemble_result(std::chrono::duration<double>(t1 - t0_).count());
   }
 
-  // ---- algo::ClockModel ---------------------------------------------
-
-  double now() const override {
+  /// Wall seconds since the run started.
+  double now() const {
     return std::chrono::duration<double>(Clock::now() - t0_).count();
   }
 
-  /// Measuring driver: durations are observed, never predicted.
-  double work_to_seconds(std::size_t, double, double, double) override {
-    return -1.0;
-  }
-
-  // ---- algo::Transport ----------------------------------------------
+  // ---- Channels -----------------------------------------------------
 
   /// Owner-thread only (worker's own emit after its iteration), so the
   /// sender's link meter needs no synchronization.
-  void send_boundary(std::size_t src, Side toward,
-                     ode::BoundaryMessage msg) override {
+  void send_boundary(std::size_t src, Side toward, ode::BoundaryMessage msg) {
     // Charge the size a delta-capable wire would carry (DESIGN.md §14);
     // the delivered message below stays full-precision regardless.
     links_.toward(src, toward).charge(msg);
@@ -167,7 +157,7 @@ class ThreadEngine final : public algo::Transport,
   }
 
   void send_migration(std::size_t src, Side toward,
-                      ode::MigrationPayload payload) override {
+                      ode::MigrationPayload payload) {
     AIAC_DEBUG("thread-lb") << "proc " << src << " sends "
                             << payload.owned_count << " components "
                             << (toward == Side::kLeft ? "left" : "right");
@@ -176,6 +166,8 @@ class ThreadEngine final : public algo::Transport,
     else
       procs_[src + 1].lb_from_left.push(std::move(payload));
   }
+
+  // ---- algo::Transport ----------------------------------------------
 
   /// Always entered with detection_mutex_ held (every protocol entry point
   /// runs under it), which also guards the control counters.
@@ -243,7 +235,6 @@ class ThreadEngine final : public algo::Transport,
       std::optional<ode::BoundaryMessage> out_left;
       std::optional<ode::BoundaryMessage> out_right;
       std::size_t iteration = 0;
-      double residual = 0.0;
       bool converged = false;
       {
         std::lock_guard<runtime::OrderedMutex> lock(proc.block_mutex);
@@ -255,7 +246,7 @@ class ThreadEngine final : public algo::Transport,
         fleet_->begin_iteration(p);
         const double start = now();
         stats = core.run_iteration();
-        core.finish_iteration(stats, start, *this);
+        core.finish_iteration(stats, now() - start);
         // Outgoing messages are packed into pool-recycled row buffers
         // (fill_boundary resizes within the recycled capacity), so the
         // steady-state send path allocates nothing.
@@ -270,11 +261,8 @@ class ThreadEngine final : public algo::Transport,
           core.fill_boundary(Side::kRight, *out_right);
         }
         iteration = core.iteration();
-        residual = core.last_residual();
         converged = core.locally_converged();
       }
-      proc.iteration.store(iteration);
-      proc.residual.store(residual);
       proc.locally_converged.store(converged);
 
       // Channel pushes (and their fault hooks, which may sleep) happen

@@ -193,7 +193,8 @@ std::vector<std::string> default_hot_registry() {
       "ProcessorCore::finish_iteration",
       "ProcessorCore::ingest_boundary",
       "ProcessorCore::fill_boundary",
-      "ProcessorCore::emit_boundaries",
+      // The thread backend's pooled boundary send (DESIGN.md §10).
+      "ThreadEngine::send_boundary",
       // Allocation-free Newton workspace solves (PR 4).
       "scalar_implicit_euler_solve",
       "scalar_implicit_euler_solve_batch",

@@ -81,7 +81,6 @@ struct LinkState {
 /// One worker process: single-threaded event loop around its
 /// ProcessorCore, driving SocketTransport and its own DetectionProtocol.
 class NetWorker final : public FrameSink,
-                        public algo::ClockModel,
                         public algo::DetectionDriver {
  public:
   NetWorker(std::size_t rank, std::size_t processors,
@@ -135,12 +134,8 @@ class NetWorker final : public FrameSink,
     return failed_ ? 1 : 0;
   }
 
-  // ---- algo::ClockModel ----------------------------------------------
-
-  double now() const override { return wall_since(t0_); }
-  double work_to_seconds(std::size_t, double, double, double) override {
-    return -1.0;  // measured, never predicted
-  }
+  /// Wall seconds since the worker started.
+  double now() const { return wall_since(t0_); }
 
   // ---- algo::DetectionDriver -----------------------------------------
 
@@ -382,7 +377,7 @@ class NetWorker final : public FrameSink,
 
       const double start = now();
       const auto stats = core_.run_iteration();
-      core_.finish_iteration(stats, start, *this);
+      core_.finish_iteration(stats, now() - start);
       if (collect_trace_)
         algo::emit_iteration(&trace_, rank_, core_.iteration(), start, now(),
                              stats.work, stats.residual, core_.components());
@@ -881,7 +876,6 @@ core::EngineResult run_net(const ode::OdeSystem& system,
       note("worker " + std::to_string(r) + " reported a mis-shaped block");
     }
   }
-  result.lb_messages = result.migrations;
   if (result.min_components_observed ==
       std::numeric_limits<std::size_t>::max())
     result.min_components_observed = 0;

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "algo/runtime_ifaces.hpp"
+#include "algo/types.hpp"
 #include "net/wire.hpp"
 #include "ode/boundary_delta.hpp"
 #include "ode/waveform_block.hpp"
@@ -127,16 +128,18 @@ class SocketTransport final : public algo::Transport {
   void adopt_peer(std::size_t r, int fd,
                   std::span<const std::uint8_t> leftover = {});
 
-  // ---- algo::Transport ------------------------------------------------
+  // ---- Data frames ----------------------------------------------------
 
   /// Encodes and queues toward the adjacent rank; `msg.rows` is released
   /// back to the row pool (send_* consume their payload). On a
   /// delta-capable link the message may leave as a BoundaryDelta frame
   /// carrying only the rows that moved (see TransportConfig).
   void send_boundary(std::size_t src, algo::Side toward,
-                     ode::BoundaryMessage msg) override;
+                     ode::BoundaryMessage msg);
   void send_migration(std::size_t src, algo::Side toward,
-                      ode::MigrationPayload payload) override;
+                      ode::MigrationPayload payload);
+
+  // ---- algo::Transport ------------------------------------------------
 
   /// Self-addressed frames (the coordinator reporting to itself) skip the
   /// wire and go straight to the sink's on_control, so the worker drains

@@ -154,14 +154,6 @@ TEST(FaultInjectionProperties, CoordinatorNeverHaltsOnADeliveredUpdate) {
               std::max<std::size_t>(1, chaos_seed_count() / 8));
 }
 
-/// Wall-clock stand-in for driving one core by hand.
-struct ManualClock final : algo::ClockModel {
-  double now() const override { return 0.0; }
-  double work_to_seconds(std::size_t, double, double, double) override {
-    return -1.0;
-  }
-};
-
 // The veto every driver shares: a locally converged core must not confirm
 // while a delivered boundary it has not folded in would move its ghosts
 // by more than the tolerance; a delivered copy of what it already holds
@@ -176,10 +168,9 @@ TEST(ProcessorCoreVeto, DisturbingInboxBlocksConfirmation) {
   fc.persistence = 3;
   algo::CoreFleet fleet(system, fc);
   algo::ProcessorCore& core = fleet.core(0);
-  ManualClock clock;
   for (int i = 0; i < 100 && !core.locally_converged(); ++i) {
     core.begin_iteration();
-    core.finish_iteration(core.run_iteration(), 0.0, clock);
+    core.finish_iteration(core.run_iteration(), 0.0);
   }
   ASSERT_TRUE(core.locally_converged());
   EXPECT_TRUE(core.can_confirm());

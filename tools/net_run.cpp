@@ -72,7 +72,7 @@ void print_result(const char* label, const core::EngineResult& result) {
   if (!result.failure_reason.empty())
     std::printf("[%s] failure: %s\n", label, result.failure_reason.c_str());
   std::printf("[%s] messages: data=%zu lb=%zu control=%zu bytes=%zu\n", label,
-              result.data_messages, result.lb_messages,
+              result.data_messages, result.migrations,
               result.control_messages, result.bytes_sent);
   if (result.migrations > 0)
     std::printf("[%s] migrations=%zu components_moved=%zu\n", label,
